@@ -6,37 +6,25 @@
 //! slowdowns across commits; simulated results (cycles, miss rates) are
 //! reported by the figure binaries and EXPERIMENTS.md.
 //!
-//! Usage: `bench_sim [--out PATH] [--iters N] [--threads K] [--scaling]
+//! Usage: `bench_sim [--out PATH] [--iters N]
 //!                   [--compare BASELINE [--tolerance PCT]]
 //!                   [--host-profile [DIR]] [--quiet]`
 //!   --out PATH        output file (default: BENCH_sim.json; not written in
 //!                     compare mode unless given explicitly)
 //!   --iters N         timed iterations per run; minimum wall time is kept
 //!                     (default: 3)
-//!   --threads K       run the matrix on K intra-run workers (the
-//!                     conservative parallel engine; default 0 = serial)
-//!   --scaling         also measure the parallel-engine scaling matrix
-//!                     (events/sec vs worker count at 16/64/128/256 nodes)
-//!                     and record it under "scaling" in the JSON; rows that
-//!                     would oversubscribe the host (sim threads > host
-//!                     cpus) are skipped, and every kept row does one
-//!                     untimed profiled run to record its worker-imbalance
-//!                     ratio
 //!   --compare PATH    re-measure and compare events/sec against a baseline
 //!                     JSON written by this tool; exits nonzero if any run
 //!                     (or the total) regresses by more than the tolerance.
 //!                     Warns when the baseline was measured on a host with
 //!                     a different cpu count (cross-host numbers are
-//!                     informational, not a like-for-like gate). With
-//!                     `--scaling`, also warns (never fails) when a scaling
-//!                     row's imbalance ratio regressed by more than 25%
+//!                     informational, not a like-for-like gate)
 //!   --tolerance PCT   allowed events/sec regression in percent for
 //!                     `--compare` (default: 15)
 //!   --host-profile [DIR]  do one extra untimed profiled run per matrix
 //!                     case (timed runs stay unprofiled), attach a "host"
 //!                     summary to each JSON row, and — when DIR is given —
-//!                     export the full per-worker profiles as
-//!                     DIR/host_profile.json
+//!                     export the full profiles as DIR/host_profile.json
 //!   --quiet           silence progress narration on stderr
 //!
 //! Profiled runs are bit-identical to unprofiled ones, so the extra run
@@ -74,7 +62,7 @@ struct Measured {
 /// mode (single, double, slipstream, slipstream+si), 4 nodes each, so a
 /// hot-path regression in any mode-specific machinery (pair bookkeeping,
 /// token protocol, self-invalidation sweeps) is visible in the baseline.
-fn cases(threads: u16) -> Vec<Case> {
+fn cases() -> Vec<Case> {
     let si = SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal);
     let modes: [(&'static str, &dyn Fn() -> RunSpec); 4] = [
         ("single", &|| RunSpec::new(4, ExecMode::Single)),
@@ -91,32 +79,12 @@ fn cases(threads: u16) -> Vec<Case> {
             out.push(Case {
                 name: format!("{tag}_quick_{}_4", mode.replace('+', "_")),
                 workload,
-                spec: mk_spec().with_threads(threads),
+                spec: mk_spec(),
                 mode,
             });
         }
     }
     out
-}
-
-/// One row of the parallel-engine scaling matrix.
-struct ScalingRow {
-    workload: String,
-    nodes: u16,
-    threads: u16,
-    wall_s: f64,
-    events: u64,
-    /// Worker load-imbalance ratio (max/mean busy time) from one extra
-    /// untimed profiled run.
-    imbalance: f64,
-}
-
-impl ScalingRow {
-    /// The row's label in the JSON (`"case"`, deliberately not `"name"`,
-    /// so it stays out of the events/sec regression gate).
-    fn case(&self) -> String {
-        format!("scaling_{}_{}n_{}t", self.workload.to_ascii_lowercase(), self.nodes, self.threads)
-    }
 }
 
 /// One extra run of `spec` with host profiling on. Profiled runs are
@@ -125,65 +93,6 @@ impl ScalingRow {
 fn profile_run(w: &dyn Workload, spec: &RunSpec) -> HostProfileData {
     let spec = spec.clone().with_host_profile(HostProfile::enabled());
     run_full(w, &spec).profile.expect("profiling was enabled")
-}
-
-/// Measures the conservative parallel engine's throughput as the worker
-/// count grows, at CMP counts where partitioning has room to help. The
-/// workload (quick SOR, slipstream mode) is fixed so rows differ only in
-/// `nodes` × `threads`; `threads = 1` is the parallel engine on one
-/// worker, i.e. the engine's own baseline (its results are bit-identical
-/// for every worker count, so the rows time identical simulations).
-fn scaling_matrix(iters: u32, profiles: &mut Vec<(String, HostProfileData)>) -> Vec<ScalingRow> {
-    let workload = quick_suite()
-        .into_iter()
-        .find(|w| w.name().eq_ignore_ascii_case("SOR"))
-        .expect("quick suite has SOR");
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut rows = Vec::new();
-    for nodes in [16u16, 64, 128, 256] {
-        for threads in [1u16, 2, 4, 8] {
-            // Oversubscribed rows (more PDES workers than host cpus) time
-            // scheduler thrash, not engine scaling; skip them so the
-            // recorded matrix only holds meaningful points.
-            if usize::from(threads) > host_cpus {
-                host_note!(
-                    "  [skipping sor @{nodes} CMPs x{threads} workers: host has {host_cpus} \
-                     cpu(s); oversubscribed rows measure scheduling noise, not PDES scaling]"
-                );
-                continue;
-            }
-            let spec = RunSpec::new(nodes, ExecMode::Slipstream).with_threads(threads);
-            let mut result: RunResult = run(workload.as_ref(), &spec);
-            let mut wall_s = f64::INFINITY;
-            for _ in 0..iters.max(1) {
-                let start = Instant::now();
-                result = run(workload.as_ref(), &spec);
-                wall_s = wall_s.min(start.elapsed().as_secs_f64());
-            }
-            // One untimed profiled run per row: the imbalance ratio is part
-            // of the scaling record (and the profile is exported when
-            // --host-profile DIR is given).
-            let profile = profile_run(workload.as_ref(), &spec);
-            let row = ScalingRow {
-                workload: workload.name().to_string(),
-                nodes,
-                threads,
-                wall_s,
-                events: result.host_events,
-                imbalance: profile.imbalance_ratio(),
-            };
-            host_note!(
-                "  [scaling sor @{nodes:>3} CMPs x{threads} workers {:>9.3} ms  \
-                 {:>12.0} events/s  imbalance {:.2}]",
-                wall_s * 1e3,
-                events_per_sec(result.host_events, wall_s),
-                row.imbalance
-            );
-            profiles.push((row.case(), profile));
-            rows.push(row);
-        }
-    }
-    rows
 }
 
 /// Run one case `iters` times (after an untimed warm-up) and keep the
@@ -248,14 +157,6 @@ fn num_field(line: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// Extracts the `"case"`/`"imbalance"` pairs of the baseline's scaling
-/// rows (for the imbalance warn — never a gate).
-fn parse_baseline_scaling(text: &str) -> Vec<(String, f64)> {
-    text.lines()
-        .filter_map(|l| Some((str_field(l, "case")?, num_field(l, "imbalance")?)))
-        .collect()
 }
 
 /// The `host_cpus` the baseline was measured on, if recorded.
@@ -338,8 +239,6 @@ fn compare(measured: &[Measured], baseline: &str, tolerance_pct: f64, host_cpus:
 fn main() {
     let mut out_path: Option<String> = None;
     let mut iters: u32 = 3;
-    let mut threads: u16 = 0;
-    let mut scaling = false;
     let mut compare_path: Option<String> = None;
     let mut tolerance_pct: f64 = 15.0;
     let mut host_profile = false;
@@ -355,14 +254,6 @@ fn main() {
                     .parse()
                     .expect("--iters needs an integer")
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a worker count")
-                    .parse()
-                    .expect("--threads needs an integer")
-            }
-            "--scaling" => scaling = true,
             "--compare" => {
                 compare_path = Some(args.next().expect("--compare needs a baseline path"))
             }
@@ -385,7 +276,7 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_sim [--out PATH] [--iters N] [--threads K] [--scaling] \
+                    "usage: bench_sim [--out PATH] [--iters N] \
                      [--compare BASELINE [--tolerance PCT]] [--host-profile [DIR]] [--quiet]"
                 );
                 std::process::exit(2);
@@ -393,7 +284,7 @@ fn main() {
         }
     }
 
-    let measured: Vec<Measured> = cases(threads)
+    let measured: Vec<Measured> = cases()
         .iter()
         .map(|c| {
             let m = measure(c, iters, host_profile);
@@ -413,19 +304,11 @@ fn main() {
     let host_cpus =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // Scaling runs before compare so its imbalance ratios can be checked
-    // against the baseline's.
-    let mut scaling_profiles: Vec<(String, HostProfileData)> = Vec::new();
-    let scaling_rows =
-        if scaling { scaling_matrix(iters, &mut scaling_profiles) } else { Vec::new() };
-
-    // Export the collected host profiles (case profiles when --host-profile,
-    // scaling profiles always collected with --scaling) before any
-    // compare-mode early exit.
+    // Export the collected host profiles before any compare-mode early
+    // exit.
     let named: Vec<(String, &HostProfileData)> = measured
         .iter()
         .filter_map(|m| m.profile.as_ref().map(|p| (m.name.clone(), p)))
-        .chain(scaling_profiles.iter().map(|(n, p)| (n.clone(), p)))
         .collect();
     if host_profile {
         for (name, p) in &named {
@@ -441,28 +324,7 @@ fn main() {
         let baseline = std::fs::read_to_string(baseline_path)
             .unwrap_or_else(|e| panic!("reading {baseline_path}: {e}"));
         eprintln!("comparing against {baseline_path} (tolerance {tolerance_pct}%):");
-        if threads > 0 {
-            eprintln!(
-                "  note: measuring with --threads {threads}; a serial baseline's events/sec \
-                 are from a different engine configuration"
-            );
-        }
         let failures = compare(&measured, &baseline, tolerance_pct, host_cpus);
-        // Worker imbalance is noisy host telemetry, so a regression warns
-        // but never fails the gate.
-        let base_scaling = parse_baseline_scaling(&baseline);
-        for r in &scaling_rows {
-            let case = r.case();
-            if let Some((_, base)) = base_scaling.iter().find(|(c, _)| c == &case) {
-                if *base > 0.0 && r.imbalance > base * 1.25 {
-                    eprintln!(
-                        "  WARN {case:<32} imbalance {base:.2} -> {:.2} (> +25%: PDES workers \
-                         are less balanced; informational, not a gate)",
-                        r.imbalance
-                    );
-                }
-            }
-        }
         if failures > 0 {
             println!("{failures} run(s) regressed by more than {tolerance_pct}%");
             std::process::exit(1);
@@ -478,26 +340,16 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| String::from("BENCH_sim.json"));
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"slipstream-bench-sim/3\",\n");
+    json.push_str("  \"schema\": \"slipstream-bench-sim/4\",\n");
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
         // Host summary from the extra profiled run (--host-profile). Key
         // names stay distinct from the gate's "name"/"events_per_sec"
         // scan, so the summary can never enter the regression comparison.
         let host = m.profile.as_ref().map_or_else(String::new, |p| {
-            let busy_ns = p.workers.iter().map(|w| w.busy_ns).max().unwrap_or(0);
-            let wait_ns = p.workers.iter().map(|w| w.wait_ns).max().unwrap_or(0);
-            format!(
-                ", \"host\": {{\"workers\": {}, \"imbalance\": {:.4}, \
-                 \"busy_s\": {:.6}, \"wait_s\": {:.6}}}",
-                p.workers.len(),
-                p.imbalance_ratio(),
-                busy_ns as f64 / 1e9,
-                wait_ns as f64 / 1e9
-            )
+            format!(", \"host\": {{\"busy_s\": {:.6}}}", p.phases.simulate_s)
         });
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \
@@ -513,28 +365,6 @@ fn main() {
             m.exec_cycles,
             host,
             if i + 1 < measured.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    // Scaling rows deliberately use "case" (not "name") as their label key:
-    // parse_baseline's line scanner only treats "name" + "events_per_sec"
-    // lines as comparable runs, so scaling rows never enter the regression
-    // gate (they measure host parallelism, not single-engine throughput).
-    json.push_str("  \"scaling\": [\n");
-    for (i, r) in scaling_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"workload\": \"{}\", \"nodes\": {}, \
-             \"sim_threads\": {}, \"wall_s\": {:.6}, \"events\": {}, \
-             \"events_per_sec\": {:.1}, \"imbalance\": {:.4}}}{}\n",
-            r.case(),
-            r.workload,
-            r.nodes,
-            r.threads,
-            r.wall_s,
-            r.events,
-            events_per_sec(r.events, r.wall_s),
-            r.imbalance,
-            if i + 1 < scaling_rows.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

@@ -7,14 +7,11 @@
 //!    analysis (SC001..SC015, including the program's own pattern
 //!    contract) under conventional instantiation at `nodes` and
 //!    `2 * nodes` tasks and under slipstream instantiation at `nodes`.
-//! 2. **Engine agreement** — for each execution mode (single, double,
-//!    slipstream, slipstream+si), the serial event loop (`threads = 0`)
-//!    and the conservative parallel engine (`threads = K`) produce the
-//!    same simulated results.
-//! 3. **Checked-run agreement** — a protocol-checked run (single and
-//!    slipstream+si) reports zero violations and a bit-identical
-//!    [`RunResult`] to the unchecked serial run.
-//! 4. **Analyzer containment** — the static sharing analyzer's traffic
+//! 2. **Checked-run agreement** — every execution mode (single, double,
+//!    slipstream, slipstream+si) runs to completion, and a
+//!    protocol-checked run (single and slipstream+si) reports zero
+//!    violations and a bit-identical [`RunResult`] to the unchecked run.
+//! 3. **Analyzer containment** — the static sharing analyzer's traffic
 //!    bounds contain the measured `MemStats` counters of an instrumented
 //!    single-mode run, and every region's observed sharing class matches
 //!    the predicted class's observable projection
@@ -25,13 +22,11 @@
 //! `SC*` correctness rules, `Warning` for the analyzer's `SP*` lints,
 //! which class-shifting mutations target).
 //!
-//! Usage: `fuzz [--seed S] [--count N] [--nodes N] [--threads K]
-//!              [--mutants M] [--quick] [--json PATH] [--quiet]`
+//! Usage: `fuzz [--seed S] [--count N] [--nodes N] [--mutants M]
+//!              [--quick] [--json PATH] [--quiet]`
 //!   --seed S     master corpus seed (default: the committed CORPUS_SEED)
 //!   --count N    number of generated programs (default: CORPUS_COUNT)
 //!   --nodes N    CMP nodes per run (default: 2)
-//!   --threads K  parallel-engine worker count to compare against the
-//!                serial loop (default: 2)
 //!   --mutants M  number of mutants to check (default: 3 rounds of the
 //!                mutation set)
 //!   --quick      CI smoke sizing: 36 programs (6 per pattern), one
@@ -50,7 +45,7 @@ use slipstream_check::{
     verify_task_set, AnalysisConfig, Severity, ValidationReport,
 };
 use slipstream_core::{
-    run, ArSyncMode, ExecMode, MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
+    run, ArSyncMode, ExecMode, MachineConfig, RunSpec, SlipstreamConfig, Workload,
 };
 use slipstream_gen::corpus::{corpus_entry, mutant_entry, CORPUS_COUNT, CORPUS_SEED};
 use slipstream_gen::{GenWorkload, Mutation};
@@ -59,7 +54,6 @@ struct Args {
     seed: u64,
     count: usize,
     nodes: u16,
-    threads: u16,
     mutants: usize,
     json: Option<String>,
     quiet: bool,
@@ -70,7 +64,6 @@ fn parse_args() -> Args {
         seed: CORPUS_SEED,
         count: CORPUS_COUNT,
         nodes: 2,
-        threads: 2,
         mutants: 3 * Mutation::ALL.len(),
         json: None,
         quiet: false,
@@ -84,7 +77,6 @@ fn parse_args() -> Args {
             "--seed" => args.seed = parse_u64(&val("--seed")),
             "--count" => args.count = val("--count").parse().expect("--count"),
             "--nodes" => args.nodes = val("--nodes").parse().expect("--nodes"),
-            "--threads" => args.threads = val("--threads").parse().expect("--threads"),
             "--mutants" => args.mutants = val("--mutants").parse().expect("--mutants"),
             "--quick" => {
                 args.count = 36;
@@ -151,51 +143,21 @@ fn static_failures(w: &GenWorkload, cfg: &MachineConfig, nodes: u16) -> Vec<Stri
     fails
 }
 
-/// One simulated mode: serial vs parallel engine, and (for the checked
-/// modes) the protocol-checked differential. Returns the serial cycles
-/// and failure descriptions.
-fn dynamic_mode(
-    w: &GenWorkload,
-    mode: &str,
-    spec: &RunSpec,
-    threads: u16,
-    check: bool,
-) -> (u64, Vec<String>) {
+/// One simulated mode, plus (for the checked modes) the protocol-checked
+/// differential. Returns the run's cycles and failure descriptions.
+fn dynamic_mode(w: &GenWorkload, mode: &str, spec: &RunSpec, check: bool) -> (u64, Vec<String>) {
     let mut fails = Vec::new();
-    let serial = run(w, &spec.clone().with_threads(0));
-    let pdes = run(w, &spec.clone().with_threads(threads));
-    if !sim_eq(&serial, &pdes) {
-        fails.push(format!(
-            "{} {mode}: serial and {threads}-worker results diverge \
-             (cycles {} vs {}, recoveries {} vs {})",
-            w.name(),
-            serial.exec_cycles,
-            pdes.exec_cycles,
-            serial.recoveries,
-            pdes.recoveries
-        ));
-    }
+    let result = run(w, spec);
     if check {
         let (checked, report) = run_checked(w, spec);
         if !report.ok() {
             fails.push(format!("{} {mode}: protocol checker: {}", w.name(), report.summary()));
         }
-        if checked != serial {
+        if checked != result {
             fails.push(format!("{} {mode}: checked run diverged from unchecked", w.name()));
         }
     }
-    (serial.exec_cycles, fails)
-}
-
-/// Simulated-machine equality across engines. The serial loop and the
-/// parallel engine are separately deterministic but differ in *host-side*
-/// accounting (`host_events`), so that observability counter is excluded;
-/// everything simulated — cycles, streams, memory statistics, recoveries
-/// — must match bit for bit.
-fn sim_eq(a: &RunResult, b: &RunResult) -> bool {
-    let mut b2 = b.clone();
-    b2.host_events = a.host_events;
-    *a == b2
+    (result.exec_cycles, fails)
 }
 
 struct ProgramReport {
@@ -243,11 +205,11 @@ fn main() -> ExitCode {
         let mut validation = None;
         if fails.is_empty() {
             // Simulate only statically clean programs: a verifier failure
-            // already fails the run, and the engines' behaviour on broken
+            // already fails the run, and the simulator's behaviour on broken
             // programs (deadlocks) is not part of the contract.
             for (mode, spec) in &specs {
                 let check = matches!(*mode, "single" | "slipstream+si");
-                let (c, f) = dynamic_mode(&w, mode, spec, args.threads, check);
+                let (c, f) = dynamic_mode(&w, mode, spec, check);
                 cycles.push((*mode, c));
                 fails.extend(f);
             }
@@ -350,9 +312,9 @@ fn render_json(
     let mut s = String::new();
     let _ = write!(
         s,
-        "{{\n  \"schema\": \"slipstream-fuzz/2\",\n  \"seed\": {},\n  \"count\": {},\n  \
-         \"nodes\": {},\n  \"threads\": {},\n  \"programs\": [",
-        args.seed, args.count, args.nodes, args.threads
+        "{{\n  \"schema\": \"slipstream-fuzz/3\",\n  \"seed\": {},\n  \"count\": {},\n  \
+         \"nodes\": {},\n  \"programs\": [",
+        args.seed, args.count, args.nodes
     );
     for (i, p) in programs.iter().enumerate() {
         let cycles = p

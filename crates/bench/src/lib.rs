@@ -9,9 +9,6 @@
 //! * `--nodes N[,N...]` — override the CMP-count sweep;
 //! * `--jobs N` — worker threads for the simulation grid (defaults to the
 //!   host's available parallelism; results are identical for any value);
-//! * `--threads K` — worker threads *inside* each simulation (the
-//!   conservative parallel engine; results are bit-identical for any
-//!   `K >= 1`, `0` = classic serial loop);
 //! * `--check` — attach the coherence invariant checker
 //!   ([`slipstream_check::ProtocolChecker`]) to every run; a violation
 //!   fails the figure instead of rendering suspect numbers.
@@ -23,7 +20,7 @@
 //! * `--heartbeat SECS` — periodic progress line per run on stderr
 //!   (events/s, elapsed); implies profile collection (not export).
 //! * `--quiet` — silence progress narration on stderr (per-run lines,
-//!   CPU-cap warnings, heartbeat); figure output and errors still print.
+//!   heartbeat); figure output and errors still print.
 //!
 //! The binaries follow one pattern: declare the full grid of runs as a
 //! [`Plan`], execute it across cores with [`Runner::prewarm`], then render
@@ -52,9 +49,6 @@ pub struct Cli {
     pub nodes: Option<Vec<u16>>,
     /// Worker threads for executing the simulation grid.
     pub jobs: Option<usize>,
-    /// Worker threads inside each simulation (`RunSpec::threads`); `0`
-    /// (default) is the serial event loop.
-    pub threads: u16,
     /// Run every simulation with the protocol invariant checker attached.
     pub check: bool,
     /// Collect host profiles for every run (`--host-profile`).
@@ -96,10 +90,6 @@ impl Cli {
                     let v = args.next().expect("--jobs needs a thread count");
                     cli.jobs = Some(v.parse().expect("--jobs takes an integer"));
                 }
-                "--threads" => {
-                    let v = args.next().expect("--threads needs a worker count");
-                    cli.threads = v.parse().expect("--threads takes an integer");
-                }
                 "--check" => cli.check = true,
                 "--host-profile" => {
                     cli.host_profile = true;
@@ -116,7 +106,7 @@ impl Cli {
                 "--quiet" => cli.quiet = true,
                 other => panic!(
                     "unknown flag {other}; supported: --quick --bench NAME --nodes N,N --jobs N \
-                     --threads K --check --host-profile [DIR] --heartbeat SECS --quiet"
+                     --check --host-profile [DIR] --heartbeat SECS --quiet"
                 ),
             }
         }
@@ -166,7 +156,6 @@ impl Cli {
 pub struct Runner {
     cache: HashMap<RunKey, RunResult>,
     check: bool,
-    threads: u16,
     host: HostProfile,
     /// Host profiles in first-run order (one per unique profiled run).
     profiles: Vec<(RunKey, HostProfileData)>,
@@ -180,30 +169,24 @@ impl Runner {
 
     /// Creates a runner honouring the CLI's `--check` flag (every
     /// simulation, prewarmed or on-demand, then runs with the protocol
-    /// invariant checker attached, and a violation aborts the figure),
-    /// its `--threads` flag (every simulation whose spec doesn't set its
-    /// own count runs on that many intra-run workers), and its
-    /// `--host-profile`/`--heartbeat` flags (host profiles are collected
+    /// invariant checker attached, and a violation aborts the figure) and
+    /// its `--host-profile`/`--heartbeat` flags (host profiles are collected
     /// per run; see [`Runner::export_host_profile`]).
     pub fn for_cli(cli: &Cli) -> Runner {
         Runner {
             cache: HashMap::new(),
             check: cli.check,
-            threads: cli.threads,
             host: cli.host_spec(),
             profiles: Vec::new(),
         }
     }
 
     /// The spec as this runner will actually execute it: the runner-wide
-    /// intra-run thread count applied unless the spec sets its own. Both
-    /// [`Runner::prewarm`] and [`Runner::run`] key the cache on this, so
-    /// prewarmed cells are always hits for the reporting pass.
+    /// host profiling applied unless the spec sets its own. Profiling is
+    /// not part of [`RunKey`], so prewarmed cells stay cache hits for the
+    /// reporting pass.
     fn effective(&self, spec: &RunSpec) -> RunSpec {
         let mut spec = spec.clone();
-        if spec.threads == 0 {
-            spec.threads = self.threads;
-        }
         if !spec.host.is_on() {
             spec.host = self.host.clone();
         }
@@ -215,7 +198,7 @@ impl Runner {
     /// cache hits, so the reporting pass stays strictly serial and ordered
     /// while the simulations use all cores.
     pub fn prewarm(&mut self, plan: &Plan<'_>, jobs: usize) {
-        let plan = plan.with_threads(self.threads).with_host(&self.host);
+        let plan = plan.with_host(&self.host);
         let outs = plan.execute_collect(jobs, self.check);
         for (key, (result, profile)) in plan.keys().zip(outs) {
             if let Some(p) = profile {
@@ -251,9 +234,9 @@ impl Runner {
         r
     }
 
-    /// Display name of a profiled run, e.g. `SOR_slipstream_8n_t4`.
+    /// Display name of a profiled run, e.g. `SOR_slipstream_8n`.
     fn profile_name(key: &RunKey) -> String {
-        format!("{}_{}_{}n_t{}", key.name, key.mode, key.nodes, key.threads)
+        format!("{}_{}_{}n", key.name, key.mode, key.nodes)
     }
 
     /// Host profiles collected so far, with display names, in first-run

@@ -43,12 +43,6 @@ pub struct RunKey {
     pub quantum_cycles: u64,
     /// Cost of an `Input` op.
     pub input_cycles: u64,
-    /// Intra-run worker threads. `0` (serial engine) and `K >= 1`
-    /// (parallel engine) are distinct keys because the engines may differ
-    /// in host-side accounting; all `K >= 1` produce bit-identical
-    /// results, but figure binaries use one uniform `K`, so no dedup is
-    /// lost by keeping the exact value.
-    pub threads: u16,
     /// Directory scheme override, if any (`None` keeps the machine's
     /// default full-map directory). Limited-pointer runs change protocol
     /// traffic, so they must never dedup against full-map runs.
@@ -66,7 +60,6 @@ impl RunKey {
             machine: spec.machine.clone(),
             quantum_cycles: spec.quantum_cycles,
             input_cycles: spec.input_cycles,
-            threads: spec.threads,
             dir_scheme: spec.dir_scheme,
         }
     }
@@ -105,25 +98,6 @@ impl<'w> Plan<'w> {
     /// Cells and their dedup keys, in plan order.
     pub fn keys(&self) -> impl Iterator<Item = RunKey> + '_ {
         self.cells.iter().map(|(w, spec)| RunKey::new(*w, spec))
-    }
-
-    /// A copy of the plan with `threads` intra-run workers applied to
-    /// every cell that doesn't already set its own count. The figure
-    /// binaries use this to fan `--threads` out over a whole grid.
-    pub fn with_threads(&self, threads: u16) -> Plan<'w> {
-        Plan {
-            cells: self
-                .cells
-                .iter()
-                .map(|(w, spec)| {
-                    let mut spec = spec.clone();
-                    if spec.threads == 0 {
-                        spec.threads = threads;
-                    }
-                    (*w, spec)
-                })
-                .collect(),
-        }
     }
 
     /// A copy of the plan with host profiling applied to every cell that
@@ -193,28 +167,7 @@ impl<'w> Plan<'w> {
         let slots: Vec<Mutex<Option<CellOut>>> =
             unique.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let mut workers = jobs.max(1).min(unique.len().max(1));
-        // Over-subscription guard: when cells themselves run multi-threaded
-        // (RunSpec::threads), jobs × sim-threads can exceed the host and
-        // every run slows down. Cap jobs so the product fits, unless the
-        // caller explicitly opts in via SLIP_OVERSUBSCRIBE=1.
-        let max_threads = unique
-            .iter()
-            .map(|&i| self.cells[i].1.threads.max(1) as usize)
-            .max()
-            .unwrap_or(1);
-        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if workers * max_threads > host && std::env::var_os("SLIP_OVERSUBSCRIBE").is_none() {
-            let capped = (host / max_threads).max(1).min(workers);
-            if capped < workers {
-                host_note!(
-                    "  [capping jobs {workers} -> {capped}: {workers} jobs x {max_threads} sim \
-                     threads would oversubscribe {host} host cpus; set SLIP_OVERSUBSCRIBE=1 to \
-                     override]"
-                );
-                workers = capped;
-            }
-        }
+        let workers = jobs.max(1).min(unique.len().max(1));
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -314,22 +267,6 @@ mod tests {
         // The duplicate positions carry the same (cloned) result.
         assert_eq!(results[0].exec_cycles, results[1].exec_cycles);
         assert_eq!(results[0].mem, results[1].mem);
-    }
-
-    #[test]
-    fn with_threads_respects_explicit_cell_counts() {
-        let w = by_name("SOR", true).expect("quick SOR");
-        let mut plan = Plan::new();
-        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single)); // inherits
-        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single).with_threads(4)); // keeps 4
-        let threaded = plan.with_threads(2);
-        let keys: Vec<RunKey> = threaded.keys().collect();
-        assert_eq!(keys[0].threads, 2);
-        assert_eq!(keys[1].threads, 4);
-        // The serial and threaded variants of the same cell are distinct
-        // keys: the engines may differ in host-side accounting.
-        let serial_key: Vec<RunKey> = plan.keys().collect();
-        assert_ne!(serial_key[0], keys[0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! 1. the default full-map scheme is bit-identical to the pre-refactor
 //!    simulator (exec_cycles pinned from the committed benchmark matrix,
-//!    quick suite x 4 modes x threads {0, 2});
+//!    quick suite x 4 modes);
 //! 2. a limited-pointer directory whose budget is never exceeded is
 //!    bit-identical to full-map (the scheme only diverges on overflow);
 //! 3. an overflowing limited-pointer directory diverges (broadcast
@@ -33,64 +33,56 @@ fn mode_spec(mode: &str, nodes: u16) -> RunSpec {
 }
 
 /// Simulated cycle counts of the quick benchmark matrix *before* the
-/// `SharerSet` refactor: the serial engine's values as committed in
-/// BENCH_sim.json, and the parallel engine's (threads = 2) as measured on
-/// the pre-refactor tree. (The two engines differ slightly in event
-/// interleaving, so each is pinned separately.) The default directory
-/// scheme must keep reproducing both exactly.
-const PRE_REFACTOR_EXEC_CYCLES: &[(&str, &str, u64, u64)] = &[
-    ("CG", "single", 308223, 309735),
-    ("FFT", "single", 796684, 795316),
-    ("LU", "single", 1085819, 1085819),
-    ("MG", "single", 328802, 328852),
-    ("OCEAN", "single", 1546373, 1546373),
-    ("SOR", "single", 1075354, 1075354),
-    ("SP", "single", 385842, 384738),
-    ("WATER-NS", "single", 1018265, 1020861),
-    ("WATER-SP", "single", 526484, 526504),
-    ("CG", "double", 266232, 268520),
-    ("FFT", "double", 604526, 605858),
-    ("LU", "double", 751761, 751847),
-    ("MG", "double", 214914, 214884),
-    ("OCEAN", "double", 1248059, 1248109),
-    ("SOR", "double", 737942, 737942),
-    ("SP", "double", 228763, 228057),
-    ("WATER-NS", "double", 769025, 767118),
-    ("WATER-SP", "double", 316776, 316776),
-    ("CG", "slipstream", 271633, 272230),
-    ("FFT", "slipstream", 480734, 483222),
-    ("LU", "slipstream", 1040903, 1041063),
-    ("MG", "slipstream", 259540, 276882),
-    ("OCEAN", "slipstream", 1443472, 1443472),
-    ("SOR", "slipstream", 939475, 939475),
-    ("SP", "slipstream", 344539, 345961),
-    ("WATER-NS", "slipstream", 1068603, 1066619),
-    ("WATER-SP", "slipstream", 573864, 573800),
-    ("CG", "slipstream+si", 286973, 285845),
-    ("FFT", "slipstream+si", 465337, 462500),
-    ("LU", "slipstream+si", 1028348, 1028388),
-    ("MG", "slipstream+si", 319350, 319536),
-    ("OCEAN", "slipstream+si", 1437977, 1437917),
-    ("SOR", "slipstream+si", 959855, 959855),
-    ("SP", "slipstream+si", 332371, 331957),
-    ("WATER-NS", "slipstream+si", 997512, 999416),
-    ("WATER-SP", "slipstream+si", 573895, 573841),
+/// `SharerSet` refactor, as committed in BENCH_sim.json. The default
+/// directory scheme must keep reproducing them exactly.
+const PRE_REFACTOR_EXEC_CYCLES: &[(&str, &str, u64)] = &[
+    ("CG", "single", 308223),
+    ("FFT", "single", 796684),
+    ("LU", "single", 1085819),
+    ("MG", "single", 328802),
+    ("OCEAN", "single", 1546373),
+    ("SOR", "single", 1075354),
+    ("SP", "single", 385842),
+    ("WATER-NS", "single", 1018265),
+    ("WATER-SP", "single", 526484),
+    ("CG", "double", 266232),
+    ("FFT", "double", 604526),
+    ("LU", "double", 751761),
+    ("MG", "double", 214914),
+    ("OCEAN", "double", 1248059),
+    ("SOR", "double", 737942),
+    ("SP", "double", 228763),
+    ("WATER-NS", "double", 769025),
+    ("WATER-SP", "double", 316776),
+    ("CG", "slipstream", 271633),
+    ("FFT", "slipstream", 480734),
+    ("LU", "slipstream", 1040903),
+    ("MG", "slipstream", 259540),
+    ("OCEAN", "slipstream", 1443472),
+    ("SOR", "slipstream", 939475),
+    ("SP", "slipstream", 344539),
+    ("WATER-NS", "slipstream", 1068603),
+    ("WATER-SP", "slipstream", 573864),
+    ("CG", "slipstream+si", 286973),
+    ("FFT", "slipstream+si", 465337),
+    ("LU", "slipstream+si", 1028348),
+    ("MG", "slipstream+si", 319350),
+    ("OCEAN", "slipstream+si", 1437977),
+    ("SOR", "slipstream+si", 959855),
+    ("SP", "slipstream+si", 332371),
+    ("WATER-NS", "slipstream+si", 997512),
+    ("WATER-SP", "slipstream+si", 573895),
 ];
 
 /// The default (full-map) scheme reproduces the pre-refactor simulated
-/// cycle counts bit-for-bit, on both the serial and the parallel engine.
+/// cycle counts bit-for-bit.
 #[test]
 fn default_scheme_reproduces_pre_refactor_results() {
-    for &(name, mode, serial_cycles, parallel_cycles) in PRE_REFACTOR_EXEC_CYCLES {
+    for &(name, mode, cycles) in PRE_REFACTOR_EXEC_CYCLES {
         let w = by_name(name, true).expect("quick suite workload");
-        for (threads, cycles) in [(0u16, serial_cycles), (2, parallel_cycles)] {
-            let spec = mode_spec(mode, 4).with_threads(threads);
-            let r = run(w.as_ref(), &spec);
-            assert_eq!(
-                r.exec_cycles, cycles,
-                "{name} {mode} threads={threads}: default scheme diverged from pre-refactor"
-            );
-        }
+        let r = run(w.as_ref(), &mode_spec(mode, 4));
+        let ctx = format!("{name} {mode}: default scheme diverged from pre-refactor");
+        assert_eq!(r.exec_cycles, cycles, "{ctx}");
     }
 }
 
@@ -112,13 +104,10 @@ fn unoverflowed_limited_pointer_matches_full_map() {
     let lp = DirScheme::limited(u8::MAX);
     for w in quick_suite() {
         for mode in ["single", "slipstream+si"] {
-            for threads in [0u16, 2] {
-                let spec = mode_spec(mode, 4).with_threads(threads);
-                let a = run(w.as_ref(), &spec);
-                let b = run(w.as_ref(), &spec.clone().with_dir_scheme(lp));
-                let ctx = format!("{} {mode} threads={threads}", w.name());
-                assert_results_identical(&a, &b, &ctx);
-            }
+            let spec = mode_spec(mode, 4);
+            let a = run(w.as_ref(), &spec);
+            let b = run(w.as_ref(), &spec.clone().with_dir_scheme(lp));
+            assert_results_identical(&a, &b, &format!("{} {mode}", w.name()));
         }
     }
 }
@@ -160,18 +149,14 @@ fn overflowing_limited_pointer_diverges_but_stays_coherent() {
 }
 
 /// A 256-node machine — beyond the old 128-bit sharer-mask cap — runs to
-/// completion under the coherence checker on both engines. (The engines
-/// interleave events slightly differently, so their simulated results are
-/// each deterministic but not compared to each other.)
+/// completion under the coherence checker, deterministically.
 #[test]
 fn machine_with_256_nodes_runs_checked() {
     let w = Sor::quick(); // 256 rows: one per node
     let si = SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal);
-    for threads in [0u16, 2] {
-        let spec = RunSpec::new(256, ExecMode::Slipstream).with_slip(si).with_threads(threads);
-        let r = run_checked(&w, &spec);
-        assert_eq!(r.nodes, 256, "threads={threads}");
-        assert!(r.exec_cycles > 0, "threads={threads}");
-        assert_eq!(r, run_checked(&w, &spec), "threads={threads}: run is not deterministic");
-    }
+    let spec = RunSpec::new(256, ExecMode::Slipstream).with_slip(si);
+    let r = run_checked(&w, &spec);
+    assert_eq!(r.nodes, 256);
+    assert!(r.exec_cycles > 0);
+    assert_eq!(r, run_checked(&w, &spec), "run is not deterministic");
 }

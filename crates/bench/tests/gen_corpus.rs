@@ -1,20 +1,12 @@
-//! Differential pinning of the generated corpus: the committed-seed
-//! programs must simulate identically on the serial event loop and the
-//! conservative parallel engine, in every execution mode, and a
+//! Differential pinning of the generated corpus: in every execution
+//! mode the committed-seed programs must simulate deterministically, and a
 //! protocol-checked run must be clean and bit-identical to the unchecked
 //! one. This is the dynamic half of the fuzz pipeline (`fuzz` runs the
 //! whole corpus; this test pins a representative slice in CI's tier-1
 //! suite).
-//!
-//! The serial loop and the parallel engine are separately deterministic
-//! but differ in the *host-side* `host_events` observability counter, so
-//! comparisons exclude it; every simulated field — cycles, per-stream
-//! breakdowns, memory statistics, recoveries — must match bit for bit.
 
 use slipstream_check::run_checked;
-use slipstream_core::{
-    run, ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload,
-};
+use slipstream_core::{run, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
 use slipstream_gen::corpus::{corpus_entry, CORPUS_SEED};
 use slipstream_gen::Pattern;
 
@@ -40,29 +32,6 @@ fn mode_specs(nodes: u16) -> Vec<(&'static str, RunSpec)> {
     ]
 }
 
-fn assert_sim_eq(a: &RunResult, b: &RunResult, ctx: &str) {
-    let mut b2 = b.clone();
-    b2.host_events = a.host_events;
-    assert_eq!(*a, b2, "{ctx}: engines diverged");
-}
-
-/// Corpus slice × all four modes: the parallel engine (2 and 3 workers)
-/// reproduces the serial result, and the workers agree with each other in
-/// full (including host accounting, which is deterministic per engine).
-#[test]
-fn generated_corpus_is_engine_invariant_across_modes() {
-    for w in slice() {
-        for (mode, spec) in mode_specs(2) {
-            let serial = run(&w, &spec.clone().with_threads(0));
-            let two = run(&w, &spec.clone().with_threads(2));
-            let three = run(&w, &spec.clone().with_threads(3));
-            let ctx = format!("{} {mode}", w.name());
-            assert_sim_eq(&serial, &two, &ctx);
-            assert_eq!(two, three, "{ctx}: worker counts diverged");
-        }
-    }
-}
-
 /// Checked runs over the corpus slice: zero protocol violations, and the
 /// checker does not perturb the simulation.
 #[test]
@@ -82,17 +51,14 @@ fn generated_corpus_checked_runs_are_clean_and_unperturbed() {
     }
 }
 
-/// Both engines are self-deterministic on generated programs: running
-/// twice reproduces the result exactly (including host accounting).
+/// Generated programs are deterministic: running twice reproduces the
+/// result exactly (including host accounting).
 #[test]
 fn generated_corpus_runs_are_deterministic() {
     for w in slice().into_iter().take(6) {
         for (mode, spec) in mode_specs(2) {
-            for threads in [0u16, 2] {
-                let a = run(&w, &spec.clone().with_threads(threads));
-                let b = run(&w, &spec.clone().with_threads(threads));
-                assert_eq!(a, b, "{} {mode} threads={threads}: nondeterminism", w.name());
-            }
+            let (a, b) = (run(&w, &spec), run(&w, &spec));
+            assert_eq!(a, b, "{} {mode}: nondeterminism", w.name());
         }
     }
 }

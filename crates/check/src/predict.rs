@@ -1,8 +1,7 @@
 //! Cross-validation of the static analyzer against dynamic measurement.
 //!
-//! [`cross_validate`] runs one workload conventionally (single mode, the
-//! serial engine) with a [`SharingObserver`] tracer attached, and checks
-//! that
+//! [`cross_validate`] runs one workload conventionally (single mode) with
+//! a [`SharingObserver`] tracer attached, and checks that
 //!
 //! * every relevant `MemStats` counter lies inside the [`TrafficBounds`]
 //!   window the analyzer derived without simulating, and

@@ -53,7 +53,6 @@
 //! ```
 
 mod machine;
-mod pdes;
 mod report;
 mod runner;
 mod stream;

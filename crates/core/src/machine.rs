@@ -1,4 +1,3 @@
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use slipstream_kernel::config::{ArSyncMode, ExecMode, MachineConfig, SlipstreamConfig};
@@ -9,15 +8,14 @@ use slipstream_mem::{
 };
 use slipstream_prog::{Op, ProgramIter, Space};
 
-use crate::pdes::{NodePart, NodeRec, RecordingTracer, SamplePart, WireMsg};
 use crate::report::{RunResult, StreamReport};
 use crate::stream::{BlockKind, PairState, StreamExec, StreamState};
 use crate::telemetry::{Heartbeat, Histogram, QueueStats, QUEUE_SAMPLE_PERIOD};
 use crate::trace::{IntervalSample, TraceConfig, TraceData, TraceKind, TraceState};
 
-/// Serial-loop host-profiling state ([`crate::telemetry`]): queue-lane
-/// occupancy histograms plus the optional progress heartbeat. Boxed so
-/// the unprofiled machine carries one pointer.
+/// Host-profiling state ([`crate::telemetry`]): queue-lane occupancy
+/// histograms plus the optional progress heartbeat. Boxed so the
+/// unprofiled machine carries one pointer.
 #[derive(Debug)]
 struct HostState {
     ring: Histogram,
@@ -92,26 +90,8 @@ pub struct Machine {
     /// so `RunResult::host_events` is identical with the fast path on or
     /// off.
     host_events: u64,
-    /// Exclusive time bound of the current PDES epoch (`crate::pdes`):
-    /// streams may not execute globally visible work at or past it.
-    /// `u64::MAX` on the serial path, where it never gates anything.
-    run_bound: Cycle,
-    /// Arrival time of the earliest unconsumed cross-partition message,
-    /// `u64::MAX` when the inbox is drained (and always on the serial
-    /// path). Cached from `inbox[inbox_cursor]` for the inline-resume gate.
-    inbox_next: Cycle,
-    /// Cross-partition arrivals for this node, ordered by the deterministic
-    /// `(at, src, seq)` merge key; `inbox_cursor` marks the consumed
-    /// prefix. Always empty on the serial path.
-    inbox: Vec<WireMsg>,
-    inbox_cursor: usize,
-    /// PDES record sink: machine-level trace events captured per node for
-    /// the post-run deterministic merge. `None` on the serial path.
-    pdes_sink: Option<Rc<RefCell<Vec<NodeRec>>>>,
-    /// Host-profiling state for the serial loop; `None` (the default)
-    /// costs the main loop one pointer-null check per event. PDES node
-    /// machines keep this `None` — the driver samples them at epoch
-    /// barriers instead.
+    /// Host-profiling state; `None` (the default) costs the main loop one
+    /// pointer-null check per event.
     host: Option<Box<HostState>>,
 }
 
@@ -179,19 +159,14 @@ impl Machine {
             trace,
             fastpath,
             host_events: 0,
-            run_bound: Cycle(u64::MAX),
-            inbox_next: Cycle(u64::MAX),
-            inbox: Vec::new(),
-            inbox_cursor: 0,
-            pdes_sink: None,
             host: None,
         }
     }
 
-    /// Enables host-side profiling for the serial loop: queue-occupancy
-    /// sampling every [`QUEUE_SAMPLE_PERIOD`] events and, when given, a
-    /// progress heartbeat. Strictly observational — results are
-    /// bit-identical with profiling on or off.
+    /// Enables host-side profiling: queue-occupancy sampling every
+    /// [`QUEUE_SAMPLE_PERIOD`] events and, when given, a progress
+    /// heartbeat. Strictly observational — results are bit-identical with
+    /// profiling on or off.
     pub(crate) fn enable_host_profile(&mut self, heartbeat: Option<Heartbeat>) {
         self.host = Some(Box::new(HostState {
             ring: Histogram::new(),
@@ -339,7 +314,17 @@ impl Machine {
             ring_occupancy: h.ring,
             heap_occupancy: h.heap,
         });
-        let streams = self.stream_reports();
+        let streams = self
+            .streams
+            .iter()
+            .map(|s| StreamReport {
+                cpu: s.cpu,
+                role: s.role,
+                task: s.task,
+                finish: s.finish.expect("finished").raw(),
+                breakdown: s.breakdown,
+            })
+            .collect();
         let result = RunResult {
             name: self.name,
             mode: self.mode,
@@ -354,235 +339,6 @@ impl Machine {
         (result, trace, host_queue)
     }
 
-    fn stream_reports(&self) -> Vec<StreamReport> {
-        self.streams
-            .iter()
-            .map(|s| StreamReport {
-                cpu: s.cpu,
-                role: s.role,
-                task: s.task,
-                finish: s.finish.expect("finished").raw(),
-                breakdown: s.breakdown,
-            })
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Conservative parallel execution (see `crate::pdes`)
-    //
-    // Under the parallel engine each `Machine` simulates exactly one node:
-    // its streams, its L1s/L2, and the directory homes it owns (a
-    // single-node `MemSystem` partition). The driver advances every node
-    // machine epoch by epoch; these methods are the per-node half of that
-    // protocol. The serial path never calls them.
-    // ------------------------------------------------------------------
-
-    /// Seeds the initial resume events (A-streams first, exactly as
-    /// [`Machine::run_traced`] does) and, when the run is traced or
-    /// checked, installs the per-node record sink whose contents the
-    /// driver merges deterministically after the run.
-    pub(crate) fn pdes_start(
-        &mut self,
-        sink: Option<Rc<RefCell<Vec<NodeRec>>>>,
-        capture_access: bool,
-    ) {
-        debug_assert!(self.trace.is_none(), "node machines are assembled untraced");
-        if let Some(sink) = sink {
-            self.pdes_sink = Some(Rc::clone(&sink));
-            self.mem.set_tracer(Box::new(RecordingTracer::new(sink, capture_access)));
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            if s.role == StreamRole::A {
-                self.q.push(Cycle::ZERO, Ev::Resume { stream: i, epoch: 0 });
-            }
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            if s.role != StreamRole::A {
-                self.q.push(Cycle::ZERO, Ev::Resume { stream: i, epoch: 0 });
-            }
-        }
-    }
-
-    /// Current two-lane queue depths `(ring, heap)`. The PDES driver
-    /// samples these at epoch barriers when host profiling is on.
-    pub(crate) fn queue_depths(&self) -> (usize, usize) {
-        (self.q.lane_len(), self.q.heap_len())
-    }
-
-    /// Host events executed so far. The PDES driver reads this between
-    /// epochs for heartbeat progress and per-epoch event counts.
-    pub(crate) fn host_events_so_far(&self) -> u64 {
-        self.host_events
-    }
-
-    /// The earliest pending work time on this node — the queue's next
-    /// event or the next unconsumed cross-partition arrival — or `None`
-    /// when the node is idle. The global minimum over all nodes decides
-    /// the next epoch bound (and termination, when every node is idle).
-    pub(crate) fn pdes_next_time(&mut self) -> Option<Cycle> {
-        let q = self.q.peek_time();
-        let i = (self.inbox_next.raw() != u64::MAX).then_some(self.inbox_next);
-        match (q, i) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn refresh_inbox_next(&mut self) {
-        self.inbox_next = match self.inbox.get(self.inbox_cursor) {
-            Some(w) => w.at,
-            None => Cycle(u64::MAX),
-        };
-    }
-
-    /// Merges newly arrived cross-partition messages into this node's
-    /// inbox. The lookahead guarantee means every arrival — and every
-    /// not-yet-consumed older entry — fires at or after the epoch bound
-    /// just completed, so only the unconsumed tail needs sorting. The sort
-    /// key `(at, src, seq)` is the fixed global merge order that makes
-    /// results independent of the worker count.
-    pub(crate) fn pdes_deliver(&mut self, arrivals: &mut Vec<WireMsg>) {
-        if self.inbox_cursor == self.inbox.len() {
-            self.inbox.clear();
-            self.inbox_cursor = 0;
-        }
-        if !arrivals.is_empty() {
-            self.inbox.append(arrivals);
-            self.inbox[self.inbox_cursor..].sort_unstable_by_key(|w| (w.at, w.src, w.seq));
-        }
-        self.refresh_inbox_next();
-    }
-
-    /// Advances this node up to (but excluding) `bound`, the current epoch
-    /// horizon. Queue events and inbox arrivals are consumed in time
-    /// order, local-first on ties (an equal-time arrival cannot affect the
-    /// local event: network-port service takes at least one cycle).
-    /// Cross-partition `NetOut` sends are intercepted at their pop — the
-    /// source node pays its port/accounting costs via
-    /// [`MemSystem::net_out`] — and diverted into `outbox` instead of the
-    /// local queue; `send_seq` numbers them in send order, the per-source
-    /// component of the deterministic merge key.
-    pub(crate) fn pdes_run_until(
-        &mut self,
-        bound: Cycle,
-        outbox: &mut Vec<WireMsg>,
-        send_seq: &mut u64,
-    ) {
-        self.run_bound = bound;
-        let own = self.streams[0].cpu.node();
-        let mut out: Vec<Completion> = Vec::new();
-        loop {
-            let qt = self.q.peek_time();
-            let take_inbox = match qt {
-                Some(q) => self.inbox_next < q,
-                None => self.inbox_next.raw() != u64::MAX,
-            };
-            let (t, inbox_msg) = if take_inbox {
-                let w = &self.inbox[self.inbox_cursor];
-                (w.at, Some(w.msg.clone()))
-            } else {
-                match qt {
-                    Some(t) => (t, None),
-                    None => break,
-                }
-            };
-            if t >= bound {
-                break;
-            }
-            self.host_events += 1;
-            let ev = match inbox_msg {
-                Some(msg) => {
-                    self.inbox_cursor += 1;
-                    self.refresh_inbox_next();
-                    Ev::Mem(MemEvent::NetIn(msg))
-                }
-                None => self.q.pop().expect("peeked event").1,
-            };
-            match ev {
-                Ev::Resume { stream, epoch } => {
-                    if self.epochs[stream] == epoch
-                        && self.streams[stream].state == StreamState::Ready
-                    {
-                        self.run_stream(stream, t, true);
-                    }
-                }
-                Ev::Mem(MemEvent::NetOut(msg)) if msg.dst != own => {
-                    let at = self.mem.net_out(t, &msg);
-                    *send_seq += 1;
-                    outbox.push(WireMsg { at, src: own.0, seq: *send_seq, msg });
-                }
-                Ev::Mem(me) => {
-                    out.clear();
-                    self.mem.handle_event(t, me, &mut QW(&mut self.q), &mut out);
-                    let batch = std::mem::take(&mut out);
-                    for (k, &c) in batch.iter().enumerate() {
-                        self.on_completion(t, c, k + 1 == batch.len());
-                    }
-                    out = batch;
-                }
-            }
-        }
-    }
-
-    /// Snapshot of this node's contribution to an interval sample, taken
-    /// at an epoch barrier; the driver concatenates parts in node order.
-    pub(crate) fn pdes_sample_part(&self) -> SamplePart {
-        SamplePart {
-            stats: self.mem.stats().clone(),
-            pairs: self
-                .pairs
-                .iter()
-                .map(|p| (p.a_session as i64 - p.r_session as i64, p.tokens))
-                .collect(),
-            queue_len: self.q.len() + (self.inbox.len() - self.inbox_cursor),
-            host_events: self.host_events,
-            recoveries: self.recoveries,
-        }
-    }
-
-    /// Tears down a node machine after global termination: the same
-    /// deadlock and quiescence checks as the serial loop, then this node's
-    /// share of the run results for the driver to merge.
-    pub(crate) fn pdes_finish(mut self) -> NodePart {
-        if self.streams.iter().any(|s| s.state != StreamState::Done) {
-            for (i, s) in self.streams.iter().enumerate() {
-                eprintln!(
-                    "stream {i}: {} {:?} {} state={:?} pending={:?} finish={:?}",
-                    s.cpu, s.role, s.task, s.state, s.pending_op, s.finish
-                );
-            }
-            if let Err(e) = self.mem.check_quiescent() {
-                eprintln!("memory system: {e}");
-            }
-            panic!("deadlock: streams blocked with every queue and inbox drained");
-        }
-        self.mem
-            .check_quiescent()
-            .unwrap_or_else(|e| panic!("memory system not quiescent at end of run: {e}"));
-        self.mem.finalize();
-        drop(self.mem.clear_tracer());
-        let records = self.pdes_sink.take().map_or_else(Vec::new, |s| {
-            Rc::try_unwrap(s)
-                .expect("record sink uniquely owned once the recorder is detached")
-                .into_inner()
-        });
-        NodePart {
-            streams: self.stream_reports(),
-            pairs: self
-                .pairs
-                .iter()
-                .map(|p| (p.a_session as i64 - p.r_session as i64, p.tokens))
-                .collect(),
-            stats: self.mem.take_stats(),
-            recoveries: self.recoveries,
-            host_events: self.host_events,
-            queue_pushed: self.q.total_pushed(),
-            queue_high_water: self.q.high_water(),
-            queue_heap_pushes: self.q.heap_pushes(),
-            records,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Trace collection
     // ------------------------------------------------------------------
@@ -591,8 +347,6 @@ impl Machine {
     fn trace_event(&mut self, t: Cycle, kind: TraceKind) {
         if let Some(ts) = self.trace.as_ref() {
             ts.buf.borrow_mut().push(t, kind);
-        } else if let Some(sink) = self.pdes_sink.as_ref() {
-            sink.borrow_mut().push(NodeRec::Machine(t, kind));
         }
     }
 
@@ -638,18 +392,9 @@ impl Machine {
     /// stream keeps executing inline. Mirrors the main loop's bookkeeping
     /// exactly: the resume counts as a host event and interval samples are
     /// taken at the same boundaries.
-    /// Under the parallel engine two more conditions apply: the stream may
-    /// not run past the epoch bound, and a pending cross-partition arrival
-    /// at or before `local` must be merged in first (it would be a queued
-    /// event in a serial run). Both sentinels are `u64::MAX` serially, so
-    /// the extra compares never fire there.
     #[inline]
     fn inline_resume(&mut self, local: Cycle) -> bool {
-        if !self.fastpath
-            || local >= self.run_bound
-            || self.inbox_next <= local
-            || self.q.peek_time().is_some_and(|t| t <= local)
-        {
+        if !self.fastpath || self.q.peek_time().is_some_and(|t| t <= local) {
             return false;
         }
         self.host_events += 1;
@@ -916,7 +661,7 @@ impl Machine {
             // rather than transparent loads (matches the paper's ~27%
             // average transparent fraction, Figure 9).
             self.pairs[p].r_session += 1;
-            if self.trace.is_some() || self.pdes_sink.is_some() {
+            if self.trace.is_some() {
                 let node = self.streams[i].cpu.node();
                 let session = self.pairs[p].r_session;
                 self.trace_event(at, TraceKind::SessionEnd { node, session });
@@ -941,18 +686,6 @@ impl Machine {
     /// §3.2 recovery: kill the deviated A-stream and fork a fresh copy of
     /// the R-stream's current state.
     fn recover_a(&mut self, p: usize, r_idx: usize, now: Cycle) {
-        if std::env::var_os("SLIP_DEBUG").is_some() {
-            let a_idx = self.pairs[p].a_idx;
-            eprintln!(
-                "RECOVER t={} pair={} r_session={} a_session={} a_state={:?} a_pending={:?}",
-                now.raw(),
-                p,
-                self.pairs[p].r_session,
-                self.pairs[p].a_session,
-                self.streams[a_idx].state,
-                self.streams[a_idx].pending_op,
-            );
-        }
         self.recoveries += 1;
         let a_idx = self.pairs[p].a_idx;
         self.trace_event(

@@ -43,19 +43,6 @@ pub struct RunSpec {
     /// result is bit-identical either way; turning this off exists for the
     /// differential tests and debugging.
     pub fastpath: bool,
-    /// Worker threads for intra-run parallel simulation (`crate::pdes`).
-    /// `0` (the default) runs the classic serial event loop; any `K >= 1`
-    /// runs the conservative parallel engine, whose results are
-    /// bit-identical for every `K` (but may differ from the serial loop
-    /// in host-side accounting such as `host_events` — the simulated
-    /// machine's timings and statistics are engine-invariant only within
-    /// each engine).
-    pub threads: u16,
-    /// Override the parallel engine's epoch window in cycles, clamped to
-    /// `[1, Latencies::net]` (the conservative lookahead). `None` uses the
-    /// full lookahead. Smaller windows add barriers but cannot change
-    /// results; the knob exists for the epoch-boundary stress tests.
-    pub epoch_window: Option<u64>,
     /// Host-side self-profiling (see [`crate::telemetry`]). Default: off,
     /// zero collection cost; profiled runs are bit-identical to
     /// unprofiled ones.
@@ -76,24 +63,8 @@ impl RunSpec {
             input_cycles: 500,
             trace: TraceConfig::default(),
             fastpath: true,
-            threads: 0,
-            epoch_window: None,
             host: HostProfile::default(),
         }
-    }
-
-    /// Sets the worker-thread count for intra-run parallel simulation
-    /// (`0` = serial event loop).
-    pub fn with_threads(mut self, threads: u16) -> RunSpec {
-        self.threads = threads;
-        self
-    }
-
-    /// Overrides the parallel engine's epoch window (see
-    /// [`RunSpec::epoch_window`]).
-    pub fn with_epoch_window(mut self, window: u64) -> RunSpec {
-        self.epoch_window = Some(window);
-        self
     }
 
     /// Sets the slipstream configuration.
@@ -224,14 +195,6 @@ fn run_inner(
         ExecMode::Single | ExecMode::Slipstream => spec.nodes as usize,
         ExecMode::Double => spec.nodes as usize * 2,
     };
-    if spec.threads >= 1 {
-        let (result, trace, mut profile) =
-            crate::pdes::run_pdes(workload, spec, cfg, ntasks, extra_tracer);
-        if let Some(p) = profile.as_mut() {
-            p.fill_resources(&result);
-        }
-        return RunOutput { result, trace, profile };
-    }
     // Build-phase wall clock, measured only on profiled runs.
     let build_started = spec.host.is_on().then(std::time::Instant::now);
     let mut layout = Layout::with_page_size(cfg.page_bytes);
@@ -270,7 +233,6 @@ fn run_inner(
         ExecMode::Slipstream => {
             for t in 0..ntasks {
                 let node = NodeId(t as u16);
-                
                 streams.push(mk(
                     &mut layout,
                     &mut placement,
@@ -336,10 +298,7 @@ fn run_inner(
     let (result, trace, host_queue) = machine.run_full();
     let profile = host_queue.map(|queue| {
         let simulate_s = sim_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        let simulate_ns = (simulate_s * 1e9) as u64;
         let mut p = HostProfileData {
-            engine: "serial",
-            threads: 0,
             nodes: spec.nodes,
             events: result.host_events,
             sim_cycles: result.exec_cycles,
@@ -348,11 +307,6 @@ fn run_inner(
                 simulate_s,
                 ..Default::default()
             },
-            workers: vec![crate::telemetry::WorkerStats {
-                busy_ns: simulate_ns,
-                events: result.host_events,
-                ..Default::default()
-            }],
             queue,
             resources: Vec::new(),
         };

@@ -1,15 +1,15 @@
 //! Host-side self-profiling: counters, gauges, and fixed-bucket
 //! histograms describing the *simulator's* behaviour (wall-clock time,
-//! worker balance, queue-lane traffic), as opposed to `trace`, which
-//! observes the *simulated machine*.
+//! queue-lane traffic), as opposed to `trace`, which observes the
+//! *simulated machine*.
 //!
 //! Everything here is strictly observational: profiling reads host clocks
-//! and counters the engines already maintain, and never feeds anything
+//! and counters the event loop already maintains, and never feeds anything
 //! back into simulated time — so a profiled run is bit-identical to an
 //! unprofiled one (pinned by `crates/bench/tests/host_profile.rs`).
 //! Collection is off by default ([`HostProfile::default`]) and costs
-//! nothing when off: the engines hold an `Option` of collector state and
-//! skip every hook on `None`.
+//! nothing when off: the event loop holds an `Option` of collector state
+//! and skips every hook on `None`.
 //!
 //! No external dependencies: histograms are fixed power-of-two buckets,
 //! export is the same hand-rolled JSON used by the trace subsystem.
@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 use crate::report::RunResult;
 
 /// Schema identifier written into every `host_profile.json`.
-pub const HOST_PROFILE_SCHEMA: &str = "slipstream-host-profile/1";
+pub const HOST_PROFILE_SCHEMA: &str = "slipstream-host-profile/2";
 
-/// How often the engines sample queue occupancy, in events. Power of two
+/// How often the event loop samples queue occupancy, in events. Power of two
 /// so the hot-loop check is a mask.
 pub const QUEUE_SAMPLE_PERIOD: u64 = 1024;
 
@@ -33,7 +33,7 @@ pub const QUEUE_SAMPLE_PERIOD: u64 = 1024;
 static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// Globally silences [`host_note!`] (progress chatter on stderr: the
-/// bench executor's per-run lines, the CPU-cap warning, the heartbeat).
+/// bench executor's per-run lines, the heartbeat).
 /// Errors and reports still print; this only gates narration, so
 /// machine-readable pipelines stay clean.
 pub fn set_quiet(quiet: bool) {
@@ -69,7 +69,7 @@ pub const HIST_BUCKETS: usize = 16;
 ///
 /// Bucket `0` holds zeros, bucket `i >= 1` holds values in
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs the tail. Recording is
-/// a `leading_zeros` and an add — cheap enough for per-epoch hooks.
+/// a `leading_zeros` and an add.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],
@@ -107,16 +107,6 @@ impl Histogram {
         self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, o: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&o.buckets) {
-            *a += b;
-        }
-        self.count += o.count;
-        self.sum += o.sum;
-        self.max = self.max.max(o.max);
     }
 
     /// Number of samples recorded.
@@ -195,52 +185,20 @@ impl HostProfile {
 // Collected data
 // ---------------------------------------------------------------------------
 
-/// One engine worker's share of the run. The serial engine reports a
-/// single worker whose wait time is zero; the PDES engine reports one
-/// entry per worker thread.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerStats {
-    /// Wall-clock nanoseconds spent executing events.
-    pub busy_ns: u64,
-    /// Wall-clock nanoseconds spent blocked on epoch barriers.
-    pub wait_ns: u64,
-    /// Epochs this worker ran (0 for the serial engine).
-    pub epochs: u64,
-    /// Host events this worker executed.
-    pub events: u64,
-    /// Events executed per epoch (PDES only).
-    pub events_per_epoch: Histogram,
-    /// Outbox size posted to mailboxes at each epoch barrier (PDES only).
-    pub outbox_len: Histogram,
-}
-
-/// Two-lane event-queue traffic, summed over every queue the run used
-/// (one global queue serially; one per node under PDES).
+/// Two-lane event-queue traffic of one run.
 #[derive(Debug, Clone, Default)]
 pub struct QueueStats {
     /// Total events pushed.
     pub total_pushed: u64,
     /// Pushes that fell back to the far-tail heap lane.
     pub heap_pushes: u64,
-    /// Peak pending events in any single queue.
+    /// Peak pending events.
     pub high_water: u64,
     /// Near-future ring occupancy, sampled every
-    /// [`QUEUE_SAMPLE_PERIOD`] events (serial) or at each epoch barrier
-    /// (PDES).
+    /// [`QUEUE_SAMPLE_PERIOD`] events.
     pub ring_occupancy: Histogram,
     /// Heap-lane occupancy at the same sample points.
     pub heap_occupancy: Histogram,
-}
-
-impl QueueStats {
-    /// Folds another queue's counters into this one.
-    pub fn merge(&mut self, o: &QueueStats) {
-        self.total_pushed += o.total_pushed;
-        self.heap_pushes += o.heap_pushes;
-        self.high_water = self.high_water.max(o.high_water);
-        self.ring_occupancy.merge(&o.ring_occupancy);
-        self.heap_occupancy.merge(&o.heap_occupancy);
-    }
 }
 
 /// Wall-clock phase breakdown of one run, in seconds. Phases a caller
@@ -276,10 +234,6 @@ pub struct ResourceSummary {
 /// Everything the host profiler collected for one run.
 #[derive(Debug, Clone, Default)]
 pub struct HostProfileData {
-    /// `"serial"` or `"pdes"`.
-    pub engine: &'static str,
-    /// Worker threads (`RunSpec::threads`; 0 = serial loop).
-    pub threads: u16,
     /// Simulated CMP nodes.
     pub nodes: u16,
     /// Total host events executed.
@@ -288,8 +242,6 @@ pub struct HostProfileData {
     pub sim_cycles: u64,
     /// Wall-clock phase breakdown.
     pub phases: PhaseTimes,
-    /// Per-worker busy/wait/epoch accounting.
-    pub workers: Vec<WorkerStats>,
     /// Queue-lane traffic.
     pub queue: QueueStats,
     /// Contention-server utilization.
@@ -297,23 +249,6 @@ pub struct HostProfileData {
 }
 
 impl HostProfileData {
-    /// Load-imbalance ratio: max over workers of busy wall-time divided
-    /// by the mean (1.0 = perfectly balanced; 0 when unmeasured). The
-    /// serial engine always reports 1.0.
-    pub fn imbalance_ratio(&self) -> f64 {
-        let times: Vec<u64> = self.workers.iter().map(|w| w.busy_ns).collect();
-        if times.is_empty() {
-            return 0.0;
-        }
-        let max = *times.iter().max().expect("non-empty") as f64;
-        let mean = times.iter().sum::<u64>() as f64 / times.len() as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max / mean
-        }
-    }
-
     /// Host events per wall-clock second of the simulate phase (0 when
     /// the phase is unmeasured).
     pub fn events_per_sec(&self) -> f64 {
@@ -351,13 +286,10 @@ impl HostProfileData {
         let mut s = String::with_capacity(2048);
         s.push('{');
         s.push_str(&format!("\"schema\": \"{HOST_PROFILE_SCHEMA}\","));
-        s.push_str(&format!("\"engine\": \"{}\",", self.engine));
-        s.push_str(&format!("\"threads\": {},", self.threads));
         s.push_str(&format!("\"nodes\": {},", self.nodes));
         s.push_str(&format!("\"events\": {},", self.events));
         s.push_str(&format!("\"sim_cycles\": {},", self.sim_cycles));
         s.push_str(&format!("\"events_per_sec\": {:.1},", self.events_per_sec()));
-        s.push_str(&format!("\"imbalance_ratio\": {:.4},", self.imbalance_ratio()));
         s.push_str(&format!(
             "\"phases\": {{\"build_s\": {:.6}, \"simulate_s\": {:.6}, \"check_s\": {:.6}, \
              \"trace_export_s\": {:.6}}},",
@@ -366,23 +298,6 @@ impl HostProfileData {
             self.phases.check_s,
             self.phases.trace_export_s
         ));
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"busy_s\": {:.6}, \"wait_s\": {:.6}, \"epochs\": {}, \"events\": {}, \
-                     \"events_per_epoch\": {}, \"outbox_len\": {}}}",
-                    w.busy_ns as f64 / 1e9,
-                    w.wait_ns as f64 / 1e9,
-                    w.epochs,
-                    w.events,
-                    w.events_per_epoch.json(),
-                    w.outbox_len.json()
-                )
-            })
-            .collect();
-        s.push_str(&format!("\"workers\": [{}],", workers.join(",")));
         s.push_str(&format!(
             "\"queue\": {{\"total_pushed\": {}, \"heap_pushes\": {}, \"high_water\": {}, \
              \"ring_occupancy\": {}, \"heap_occupancy\": {}}},",
@@ -412,9 +327,7 @@ impl HostProfileData {
     pub fn render_table(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "host profile: engine={} threads={} nodes={} events={} ({:.0} ev/s)\n",
-            self.engine,
-            self.threads,
+            "host profile: nodes={} events={} ({:.0} ev/s)\n",
             self.nodes,
             self.events,
             self.events_per_sec()
@@ -426,28 +339,6 @@ impl HostProfileData {
             self.phases.check_s,
             self.phases.trace_export_s
         ));
-        s.push_str(&format!(
-            "  workers ({}): imbalance ratio {:.2} (max/mean busy)\n",
-            self.workers.len(),
-            self.imbalance_ratio()
-        ));
-        for (i, w) in self.workers.iter().enumerate() {
-            let total = (w.busy_ns + w.wait_ns) as f64;
-            let busy_pct = if total == 0.0 { 0.0 } else { 100.0 * w.busy_ns as f64 / total };
-            s.push_str(&format!(
-                "    w{i}: busy {:.3}s  wait {:.3}s  ({:.0}% busy)  epochs {}  events {}  \
-                 ev/epoch mean {:.1} max {}  outbox mean {:.1} max {}\n",
-                w.busy_ns as f64 / 1e9,
-                w.wait_ns as f64 / 1e9,
-                busy_pct,
-                w.epochs,
-                w.events,
-                w.events_per_epoch.mean(),
-                w.events_per_epoch.max(),
-                w.outbox_len.mean(),
-                w.outbox_len.max()
-            ));
-        }
         let heap_pct = if self.queue.total_pushed == 0 {
             0.0
         } else {
@@ -482,9 +373,8 @@ impl HostProfileData {
 // Heartbeat
 // ---------------------------------------------------------------------------
 
-/// Opt-in periodic progress line on stderr for long runs. Driven by the
-/// engines from their event loops (serial) or the leader worker (PDES);
-/// silenced by [`set_quiet`].
+/// Opt-in periodic progress line on stderr for long runs. Driven from
+/// the event loop; silenced by [`set_quiet`].
 #[derive(Debug)]
 pub struct Heartbeat {
     label: String,
@@ -512,7 +402,7 @@ impl Heartbeat {
     }
 
     /// Emits a progress line if the period elapsed. Call sparsely (the
-    /// engines call it at queue-sample points / epoch barriers).
+    /// event loop calls it at queue-sample points).
     pub fn maybe_beat(&mut self, events_done: u64) {
         let now = Instant::now();
         if now < self.next {
@@ -603,44 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_sum() {
-        let mut rng = SplitMix64::new(42);
-        let (mut a, mut b, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 0..1_000 {
-            let v = rng.next_u64() % 100_000;
-            if i % 2 == 0 { a.record(v) } else { b.record(v) }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn imbalance_ratio_max_over_mean() {
-        let mut d = HostProfileData::default();
-        assert_eq!(d.imbalance_ratio(), 0.0);
-        for busy in [100u64, 200, 300] {
-            d.workers.push(WorkerStats { busy_ns: busy, ..WorkerStats::default() });
-        }
-        assert!((d.imbalance_ratio() - 1.5).abs() < 1e-9);
-        // Single worker (serial engine) is perfectly balanced.
-        d.workers.truncate(1);
-        assert!((d.imbalance_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn json_has_schema_and_sections() {
-        let mut d = HostProfileData {
-            engine: "pdes",
-            threads: 2,
-            nodes: 4,
-            events: 1000,
-            ..HostProfileData::default()
-        };
-        d.workers.push(WorkerStats::default());
+        let d = HostProfileData { nodes: 4, events: 1000, ..HostProfileData::default() };
         let j = d.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in ["\"schema\"", "\"workers\"", "\"queue\"", "\"resources\"", "\"phases\""] {
+        for key in ["\"schema\"", "\"queue\"", "\"resources\"", "\"phases\""] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert!(j.contains(HOST_PROFILE_SCHEMA));

@@ -15,9 +15,8 @@
 //! "zero diagnostics" result meaningful.
 //!
 //! The `fuzz` binary in `crates/bench` drives the full differential
-//! pipeline: generate, statically verify, simulate every execution mode
-//! on both engines, run the checked protocol monitor, and then re-check
-//! every mutant.
+//! pipeline: generate, statically verify, simulate every execution mode,
+//! run the checked protocol monitor, and then re-check every mutant.
 
 mod mutate;
 mod patterns;

@@ -69,7 +69,7 @@ impl Pattern {
 /// The parameter axes of one generated program set.
 ///
 /// Ranges are deliberately small: generated programs are quick-suite
-/// sized so the full differential pipeline (4 modes x 2 engines per
+/// sized so the full differential pipeline (4 simulated modes per
 /// program) stays fast enough to run over hundreds of programs in CI.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternSpec {

@@ -65,8 +65,8 @@ pub struct HomeMap {
     /// when the layout span exceeds [`MAX_TABLE_PAGES`].
     table: Vec<u16>,
     /// Index of the last region the fallback search resolved. A `Cell`
-    /// keeps `home_of` callable through `&self`; maps are cloned per
-    /// partition, never shared across threads.
+    /// keeps `home_of` callable through `&self`; a map belongs to one
+    /// memory system and is never shared across threads.
     memo: Cell<usize>,
 }
 

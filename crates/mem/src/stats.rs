@@ -1,8 +1,7 @@
 use crate::classify::RequestClass;
 
 /// Occupancy counters for one FIFO contention server, summed over all
-/// nodes. Cycles are simulated cycles, so these are deterministic and
-/// identical between the serial and parallel engines.
+/// nodes. Cycles are simulated cycles, so these are deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceUse {
     /// Total simulated cycles the resource spent serving jobs.
@@ -14,12 +13,6 @@ pub struct ResourceUse {
 }
 
 impl ResourceUse {
-    fn accumulate(&mut self, o: &ResourceUse) {
-        self.busy_cycles += o.busy_cycles;
-        self.jobs += o.jobs;
-        self.wait_cycles += o.wait_cycles;
-    }
-
     /// Busy cycles as a fraction of `total_cycles` (0 when the run is
     /// empty). With N nodes each resource has N instances, so the
     /// meaningful denominator is `exec_cycles * nodes`.
@@ -48,13 +41,6 @@ pub struct ContentionStats {
 }
 
 impl ContentionStats {
-    fn accumulate(&mut self, o: &ContentionStats) {
-        self.dir_ctl.accumulate(&o.dir_ctl);
-        self.net_in.accumulate(&o.net_in);
-        self.net_out.accumulate(&o.net_out);
-        self.mem_bank.accumulate(&o.mem_bank);
-    }
-
     /// `(name, use)` pairs in a fixed report order.
     pub fn named(&self) -> [(&'static str, &ResourceUse); 4] {
         [
@@ -133,38 +119,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Fold another run's (or another partition's) counters into this one.
-    /// Used by the parallel engine to merge per-node partition statistics
-    /// into a whole-run total.
-    pub fn accumulate(&mut self, o: &MemStats) {
-        self.l1_hits += o.l1_hits;
-        self.l2_hits += o.l2_hits;
-        self.l2_misses += o.l2_misses;
-        self.merged_misses += o.merged_misses;
-        self.local_txns += o.local_txns;
-        self.remote_txns += o.remote_txns;
-        self.read_txns += o.read_txns;
-        self.excl_txns += o.excl_txns;
-        self.excl_prefetches += o.excl_prefetches;
-        self.a_read_txns += o.a_read_txns;
-        self.transparent_issued += o.transparent_issued;
-        self.transparent_replies += o.transparent_replies;
-        self.upgraded_replies += o.upgraded_replies;
-        self.si_hints += o.si_hints;
-        self.si_invalidations += o.si_invalidations;
-        self.si_downgrades += o.si_downgrades;
-        self.writebacks += o.writebacks;
-        self.invalidations_sent += o.invalidations_sent;
-        self.broadcast_invalidations += o.broadcast_invalidations;
-        self.interventions += o.interventions;
-        self.migratory_grants += o.migratory_grants;
-        self.intervention_nacks += o.intervention_nacks;
-        self.net_messages += o.net_messages;
-        self.class.reads += o.class.reads;
-        self.class.excl += o.class.excl;
-        self.contention.accumulate(&o.contention);
-    }
-
     /// Total data accesses that reached the memory system. Every access
     /// resolves as exactly one of L1 hit, L2 hit, or L2 miss (merged
     /// misses are a subset of `l2_misses`), so this is also the accounting

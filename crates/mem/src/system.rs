@@ -145,10 +145,6 @@ pub struct MemSystem {
     /// Directory sharer-tracking scheme ([`MachineConfig::dir_scheme`]).
     scheme: DirScheme,
     n_nodes: u16,
-    /// Global index of the first node materialized in `nodes`: 0 for a
-    /// whole-machine system, the owning node's index for a single-node
-    /// PDES partition ([`MemSystem::new_partition`]).
-    first_node: usize,
     home: HomeMap,
     line_bytes: u64,
     nodes: Vec<NodeState>,
@@ -183,18 +179,6 @@ fn track_sharer(scheme: DirScheme, s: &mut SharerSet, ovfl: &mut bool, from: Nod
     }
 }
 
-fn node_state(cfg: &MachineConfig) -> NodeState {
-    NodeState {
-        l1: [L1Cache::new(cfg.l1), L1Cache::new(cfg.l1)],
-        l2: L2Cache::new(cfg.l2),
-        dc: Server::new(),
-        port_in: Server::new(),
-        port_out: Server::new(),
-        mem_bank: Server::new(),
-        si_next: Cycle::ZERO,
-    }
-}
-
 fn is_a_group(role: StreamRole) -> bool {
     role.is_a()
 }
@@ -210,13 +194,22 @@ impl MemSystem {
     pub fn new(cfg: &MachineConfig, home: HomeMap, participants: u32) -> MemSystem {
         assert_eq!(home.nodes(), cfg.nodes, "home map and machine disagree on node count");
         let line_bytes = cfg.line_bytes();
-        let nodes = (0..cfg.nodes).map(|_| node_state(cfg)).collect();
+        let nodes = (0..cfg.nodes)
+            .map(|_| NodeState {
+                l1: [L1Cache::new(cfg.l1), L1Cache::new(cfg.l1)],
+                l2: L2Cache::new(cfg.l2),
+                dc: Server::new(),
+                port_in: Server::new(),
+                port_out: Server::new(),
+                mem_bank: Server::new(),
+                si_next: Cycle::ZERO,
+            })
+            .collect();
         MemSystem {
             lat: cfg.lat,
             migratory_opt: cfg.migratory_opt,
             scheme: cfg.dir_scheme,
             n_nodes: cfg.nodes,
-            first_node: 0,
             home,
             line_bytes,
             nodes,
@@ -227,53 +220,6 @@ impl MemSystem {
             si_interval: 4,
             tracer: None,
         }
-    }
-
-    /// Creates a single-node partition of the memory system for parallel
-    /// (PDES) execution: only `node`'s caches, ports, and memory bank are
-    /// materialized, while the directory and sync-controller hashing still
-    /// span the whole `cfg.nodes`-node machine, so directory homes and
-    /// sync objects shard naturally across partitions (every message for
-    /// line `l` reaches exactly the partition owning `home_of_line(l)`).
-    ///
-    /// Tokens are drawn from a per-partition counter: memory tokens only
-    /// pair completions with waiters inside one node, and sync tokens
-    /// round-trip through the owning partition's controller keyed by
-    /// `(cpu, token)`, so token values are never compared across nodes.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`MemSystem::new`], plus `node` out of range.
-    pub fn new_partition(
-        cfg: &MachineConfig,
-        home: HomeMap,
-        participants: u32,
-        node: NodeId,
-    ) -> MemSystem {
-        assert_eq!(home.nodes(), cfg.nodes, "home map and machine disagree on node count");
-        assert!(node.idx() < cfg.nodes as usize, "partition node out of range");
-        MemSystem {
-            lat: cfg.lat,
-            migratory_opt: cfg.migratory_opt,
-            scheme: cfg.dir_scheme,
-            n_nodes: cfg.nodes,
-            first_node: node.idx(),
-            home,
-            line_bytes: cfg.line_bytes(),
-            nodes: vec![node_state(cfg)],
-            dir: FxHashMap::default(),
-            sync: SyncCtl::new(participants),
-            stats: MemStats::default(),
-            next_token: 0,
-            si_interval: 4,
-            tracer: None,
-        }
-    }
-
-    /// Index of `node` within this system's materialized `nodes` slice.
-    #[inline]
-    fn local(&self, node: NodeId) -> usize {
-        node.idx() - self.first_node
     }
 
     /// Installs an observability hook. Tracers are purely observational —
@@ -325,7 +271,7 @@ impl MemSystem {
     /// Number of lines flagged but not yet processed for self-invalidation
     /// at `node`.
     pub fn si_backlog(&self, node: NodeId) -> usize {
-        self.nodes[self.local(node)].l2.si_queue.len()
+        self.nodes[node.idx()].l2.si_queue.len()
     }
 
     fn token(&mut self) -> Token {
@@ -392,7 +338,7 @@ impl MemSystem {
         shared: bool,
         sched: &mut impl MemSched,
     ) -> Access {
-        let n = self.local(cpu.node());
+        let n = cpu.node().idx();
         let core = cpu.core() as usize;
         let kind = if trans { AccessKind::TransparentRead } else { AccessKind::Read };
         if self.nodes[n].l1[core].lookup(line).is_some() {
@@ -506,7 +452,7 @@ impl MemSystem {
         in_cs: bool,
         sched: &mut impl MemSched,
     ) -> Access {
-        let n = self.local(cpu.node());
+        let n = cpu.node().idx();
         let core = cpu.core() as usize;
         if self.nodes[n].l1[core].lookup(line) == Some(L1State::Modified) {
             self.stats.l1_hits += 1;
@@ -610,7 +556,7 @@ impl MemSystem {
         line: LineAddr,
         sched: &mut impl MemSched,
     ) -> Access {
-        let n = self.local(cpu.node());
+        let n = cpu.node().idx();
         let node_id = cpu.node();
         // `Some(had_shared)` if the prefetch should be issued; `None` if it
         // is dropped (a request already in flight, or the line is owned).
@@ -697,7 +643,7 @@ impl MemSystem {
     /// point, at a peak rate of one line per `si_interval` cycles,
     /// overlapped with the synchronization itself.
     pub fn kick_si(&mut self, now: Cycle, node: NodeId, sched: &mut impl MemSched) {
-        let n = self.local(node);
+        let n = node.idx();
         let st = &mut self.nodes[n];
         if st.l2.si_active || st.l2.si_queue.is_empty() {
             return;
@@ -723,7 +669,7 @@ impl MemSystem {
         match ev {
             MemEvent::L2Done { cpu, token } => out.push(Completion { cpu, token }),
             MemEvent::AtLocalDc(msg) => {
-                let n = self.local(msg.src);
+                let n = msg.src.idx();
                 if msg.src == msg.dst {
                     let occ = Cycle(self.local_dc_occ(&msg.kind));
                     let done = self.nodes[n].dc.serve(now, occ);
@@ -735,16 +681,18 @@ impl MemSystem {
                 }
             }
             MemEvent::NetOut(msg) => {
-                let at = self.net_out(now, &msg);
-                sched.sched(at, MemEvent::NetIn(msg));
+                self.stats.net_messages += 1;
+                let n = msg.src.idx();
+                let start = self.nodes[n].port_out.serve_start(now, Cycle(self.lat.net_port));
+                sched.sched(start + self.lat.net, MemEvent::NetIn(msg));
             }
             MemEvent::NetIn(msg) => {
-                let n = self.local(msg.dst);
+                let n = msg.dst.idx();
                 let start = self.nodes[n].port_in.serve_start(now, Cycle(self.lat.net_port));
                 sched.sched(start, MemEvent::AtDestDc(msg));
             }
             MemEvent::AtDestDc(msg) => {
-                let n = self.local(msg.dst);
+                let n = msg.dst.idx();
                 let occ = Cycle(self.dest_dc_occ(&msg.kind));
                 let done = self.nodes[n].dc.serve(now, occ);
                 sched.sched(done, MemEvent::Handle(msg));
@@ -754,18 +702,6 @@ impl MemSystem {
             MemEvent::AtL2(msg) => self.at_l2(now, msg, sched, out),
             MemEvent::SiStep(node) => self.si_step(now, node, sched),
         }
-    }
-
-    /// Serves the source-side network-port occupancy for an outbound
-    /// message and returns the time it arrives at the destination node
-    /// (the `NetIn` time). Split out of [`MemSystem::handle_event`] so a
-    /// parallel (PDES) driver can divert cross-partition sends through
-    /// exactly the same accounting the serial loop performs.
-    pub fn net_out(&mut self, now: Cycle, msg: &Msg) -> Cycle {
-        self.stats.net_messages += 1;
-        let n = self.local(msg.src);
-        let start = self.nodes[n].port_out.serve_start(now, Cycle(self.lat.net_port));
-        start + self.lat.net
     }
 
     fn local_dc_occ(&self, kind: &MsgKind) -> u64 {
@@ -794,7 +730,7 @@ impl MemSystem {
     /// (the bank is occupied `mem_bank_occ` cycles per line).
     fn mem_access(&mut self, home: NodeId, now: Cycle) -> Cycle {
         let occ = Cycle(self.lat.mem_bank_occ);
-        let n = self.local(home);
+        let n = home.idx();
         let start = self.nodes[n].mem_bank.serve_start(now, occ);
         start + self.lat.mem
     }
@@ -805,7 +741,7 @@ impl MemSystem {
     /// occupancy — nobody waits on them.
     fn mem_write(&mut self, home: NodeId, now: Cycle) {
         let occ = Cycle(self.lat.mem);
-        let n = self.local(home);
+        let n = home.idx();
         let _ = self.nodes[n].mem_bank.serve_start(now, occ);
     }
 
@@ -1377,7 +1313,7 @@ impl MemSystem {
                 self.send_from_l2(now, ack, sched);
             }
             MsgKind::SiHint { line, .. } => {
-                let n = self.local(node);
+                let n = node.idx();
                 let st = &mut self.nodes[n];
                 if st.l2.get(line).map(|e| e.state == L2State::Exclusive).unwrap_or(false) {
                     st.l2.flag_si(line);
@@ -1389,7 +1325,7 @@ impl MemSystem {
     }
 
     fn fill_l1(&mut self, cpu: CpuId, line: LineAddr, state: L1State) {
-        let n = self.local(cpu.node());
+        let n = cpu.node().idx();
         let core = cpu.core() as usize;
         let victim = self.nodes[n].l1[core].insert(line, state);
         if let Some(v) = victim {
@@ -1417,7 +1353,7 @@ impl MemSystem {
         sched: &mut impl MemSched,
         out: &mut Vec<Completion>,
     ) {
-        let n = self.local(node);
+        let n = node.idx();
         let mut mshr = match self.nodes[n].l2.mshrs.remove(&line) {
             Some(m) => m,
             None => return, // stale reply; drop
@@ -1554,7 +1490,7 @@ impl MemSystem {
         sched: &mut impl MemSched,
         out: &mut Vec<Completion>,
     ) {
-        let n = self.local(node);
+        let n = node.idx();
         let mut mshr = match self.nodes[n].l2.mshrs.remove(&line) {
             Some(m) => m,
             None => return,
@@ -1607,7 +1543,7 @@ impl MemSystem {
         mut entry: L2Line,
         sched: &mut impl MemSched,
     ) {
-        let n = self.local(node);
+        let n = node.idx();
         for core in 0..2usize {
             if entry.l1_mask & (1 << core) != 0 {
                 if let Some(dirty) = self.nodes[n].l1[core].invalidate(entry.line) {
@@ -1637,7 +1573,7 @@ impl MemSystem {
     }
 
     fn invalidate_line(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        let n = self.local(node);
+        let n = node.idx();
         if let Some(mut entry) = self.nodes[n].l2.remove(line) {
             for core in 0..2usize {
                 if entry.l1_mask & (1 << core) != 0 {
@@ -1664,7 +1600,7 @@ impl MemSystem {
         requester: NodeId,
         sched: &mut impl MemSched,
     ) {
-        let n = self.local(node);
+        let n = node.idx();
         let home = self.home.home_of_line(line, self.line_bytes);
         // `was_excl` can be false here: a self-invalidation downgrade may
         // already have demoted the copy while its `DowngradeWb` races this
@@ -1717,7 +1653,7 @@ impl MemSystem {
         sched: &mut impl MemSched,
     ) {
         let home = self.home.home_of_line(line, self.line_bytes);
-        let have = self.nodes[self.local(node)].l2.get(line).is_some();
+        let have = self.nodes[node.idx()].l2.get(line).is_some();
         if have {
             self.invalidate_line(now, node, line);
             let data = Msg {
@@ -1743,7 +1679,7 @@ impl MemSystem {
     // ------------------------------------------------------------------
 
     fn si_step(&mut self, now: Cycle, node: NodeId, sched: &mut impl MemSched) {
-        let n = self.local(node);
+        let n = node.idx();
         let line = loop {
             match self.nodes[n].l2.si_queue.pop_front() {
                 None => {
@@ -1881,8 +1817,7 @@ impl MemSystem {
         }
         for (i, st) in self.nodes.iter().enumerate() {
             if !st.l2.mshrs.is_empty() {
-                let g = self.first_node + i;
-                return Err(format!("node {g} has {} outstanding MSHRs", st.l2.mshrs.len()));
+                return Err(format!("node {i} has {} outstanding MSHRs", st.l2.mshrs.len()));
             }
         }
         if !self.sync.quiescent() {

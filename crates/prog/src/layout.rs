@@ -267,6 +267,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "out of bounds")]
     fn array_oob_panics_in_debug() {
         let mut l = Layout::new();

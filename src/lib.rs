@@ -24,7 +24,8 @@
 //!   coherence-protocol invariant checker (see
 //!   `docs/static-analysis.md`);
 //! * [`gen`] — the seeded sharing-pattern program generator and mutation
-//!   engine behind the `fuzz` differential-testing binary.
+//!   engine behind the `fuzz` binary, which checks the static verifier
+//!   against simulated runs.
 //!
 //! The most common entry points are re-exported at the top level.
 //!
