@@ -16,72 +16,29 @@
 //! [`RunResult`]s are compared; a mismatch means tracing perturbed the
 //! simulation and the process exits nonzero (CI runs this as a smoke
 //! test). See docs/observability.md for the schemas.
-use slipstream_core::{run, run_traced, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, TraceConfig};
+use slipstream_bench::{exit_usage, flag_num, flag_value, RunArgs};
+use slipstream_core::{run, run_traced, RunSpec, TraceConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace <BENCH> <NODES> <single|double|slip> [--quick] \
-         [--ar L1|L0|G1|G0] [--si] [--interval N] [--top K] [--out DIR]"
-    );
-    eprintln!(
-        "benchmarks: {}",
-        slipstream_workloads::quick_suite()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
+const USAGE: &str = "trace <BENCH> <NODES> <single|double|slip> [--quick] \
+                     [--ar L1|L0|G1|G0] [--si] [--interval N] [--top K] [--out DIR]";
+
+/// Exits with the usage error `err`; generic so it fits any `unwrap_or_else`.
+fn usage<T>(err: String) -> T {
+    exit_usage(USAGE, &err)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(|s| s.as_str()).unwrap_or("SOR");
-    let nodes: u16 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let mode = match args.get(2).map(|s| s.as_str()) {
-        Some("double") => ExecMode::Double,
-        Some("slip") | None => ExecMode::Slipstream,
-        _ => ExecMode::Single,
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let Some(w) = slipstream_workloads::by_name(name, quick) else {
-        eprintln!("unknown benchmark: {name}");
-        usage();
-    };
-    let flag_value = |flag: &str| -> Option<&String> {
-        args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-            Some(v) => v,
-            None => {
-                eprintln!("{flag} requires a value");
-                usage();
-            }
-        })
-    };
-    let parse_num = |flag: &str, default: u64| -> u64 {
-        match flag_value(flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} requires a number, got {v}");
-                usage();
-            }),
-            None => default,
-        }
-    };
-    let ar = match flag_value("--ar").map(|s| s.as_str()) {
-        Some("L1") => ArSyncMode::OneTokenLocal,
-        Some("L0") => ArSyncMode::ZeroTokenLocal,
-        Some("G0") => ArSyncMode::ZeroTokenGlobal,
-        _ => ArSyncMode::OneTokenGlobal,
-    };
-    let mut slip = SlipstreamConfig::prefetch_only(ar);
-    if args.iter().any(|a| a == "--si") {
-        slip = SlipstreamConfig::with_self_invalidation(ar);
-    }
-    let interval = parse_num("--interval", 10_000);
-    let top_k = parse_num("--top", 32) as usize;
-    let out_dir = flag_value("--out").cloned().unwrap_or_else(|| "results/trace".to_string());
+    let RunArgs { workload: w, spec } = RunArgs::parse(&args).unwrap_or_else(usage);
+    let interval = flag_num(&args, "--interval", 10_000).unwrap_or_else(usage);
+    let top_k = flag_num(&args, "--top", 32).unwrap_or_else(usage) as usize;
+    let out_dir = flag_value(&args, "--out")
+        .unwrap_or_else(usage)
+        .cloned()
+        .unwrap_or_else(|| "results/trace".to_string());
 
     let cfg = TraceConfig { top_k, ..TraceConfig::full(interval) };
-    let spec = RunSpec::new(nodes, mode).with_slip(slip).with_trace(cfg);
+    let spec = spec.with_trace(cfg);
     let (result, data) = run_traced(w.as_ref(), &spec);
     let data = data.expect("trace config is enabled");
 

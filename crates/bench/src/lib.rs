@@ -29,10 +29,10 @@
 use std::collections::HashMap;
 
 use slipstream_core::{
-    host_note, telemetry, ExecMode, HostProfile, HostProfileData, RunResult, RunSpec,
+    host_note, telemetry, ArSyncMode, ExecMode, HostProfile, HostProfileData, RunResult, RunSpec,
     SlipstreamConfig, Workload,
 };
-use slipstream_workloads::{paper_suite, quick_suite};
+use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
 mod par;
 
@@ -148,6 +148,94 @@ impl Cli {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         })
     }
+}
+
+/// The single run named on the command line of `trace` and `inspect`:
+/// `<BENCH> <NODES> <single|double|slip> [--quick] [--ar L1|L0|G1|G0]
+/// [--si]`.
+pub struct RunArgs {
+    /// The workload, at reduced size under `--quick`.
+    pub workload: Box<dyn Workload>,
+    /// The run: nodes, mode and slipstream configuration (prefetch-only
+    /// unless `--si`; A-R method `--ar`, default `G1`).
+    pub spec: RunSpec,
+}
+
+impl RunArgs {
+    /// Parses the three positional arguments and the `--quick`, `--ar`
+    /// and `--si` flags of `args` (program name excluded); other flags are
+    /// the caller's.
+    ///
+    /// # Errors
+    ///
+    /// A missing positional, an unknown benchmark, a NODES that is not a
+    /// positive integer, or an unknown mode or A-R label: never a silent
+    /// default.
+    pub fn parse(args: &[String]) -> Result<RunArgs, String> {
+        let positional = |i: usize, what: &str| {
+            args.get(i).filter(|a| !a.starts_with("--")).ok_or(format!("missing {what}"))
+        };
+        let bench = positional(0, "<BENCH>")?;
+        let nodes = positional(1, "<NODES>")?;
+        let nodes: u16 = match nodes.parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("<NODES> must be a positive integer, got {nodes}")),
+        };
+        let mode = match positional(2, "<single|double|slip>")?.as_str() {
+            "single" => ExecMode::Single,
+            "double" => ExecMode::Double,
+            "slip" => ExecMode::Slipstream,
+            other => return Err(format!("unknown mode {other}: expected single, double or slip")),
+        };
+        let ar = match flag_value(args, "--ar")? {
+            None => ArSyncMode::OneTokenGlobal,
+            Some(label) => ArSyncMode::ALL
+                .into_iter()
+                .find(|m| m.label() == label)
+                .ok_or(format!("unknown A-R method {label}: expected L1, L0, G1 or G0"))?,
+        };
+        let slip = if args.iter().any(|a| a == "--si") {
+            SlipstreamConfig::with_self_invalidation(ar)
+        } else {
+            SlipstreamConfig::prefetch_only(ar)
+        };
+        let workload = by_name(bench, args.iter().any(|a| a == "--quick"))
+            .ok_or(format!("unknown benchmark {bench}"))?;
+        Ok(RunArgs { workload, spec: RunSpec::new(nodes, mode).with_slip(slip) })
+    }
+}
+
+/// The value following `flag` in `args`, if the flag is present.
+///
+/// # Errors
+///
+/// The flag is the last argument.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args.get(i + 1).map(Some).ok_or(format!("{flag} requires a value")),
+    }
+}
+
+/// The number following `flag` in `args`, or `default` when the flag is
+/// absent.
+///
+/// # Errors
+///
+/// The value is missing or not a number.
+pub fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
+    match flag_value(args, flag)? {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{flag} requires a number, got {v}")),
+    }
+}
+
+/// Prints `err`, then `usage` and the benchmark names, on stderr and exits
+/// with status 2, a usage error (as in the `check` binary).
+pub fn exit_usage(usage: &str, err: &str) -> ! {
+    let names: Vec<String> = quick_suite().iter().map(|w| w.name().to_string()).collect();
+    eprintln!("{err}\nusage: {usage}\nbenchmarks: {}", names.join(", "));
+    std::process::exit(2);
 }
 
 /// Memoizing run cache so figures that need the same baselines don't
@@ -372,4 +460,48 @@ pub fn print_header(label: &str, cols: &[String]) {
         print!(" {c:>8}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse_err(line: &str) -> String {
+        match RunArgs::parse(&args(line)) {
+            Ok(_) => panic!("`{line}` parsed"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn run_args_parse_the_named_run() {
+        let r = RunArgs::parse(&args("SOR 4 slip --quick --ar G0 --si --out dir")).unwrap();
+        assert_eq!(r.workload.name(), "SOR");
+        assert_eq!((r.spec.nodes, r.spec.mode), (4, ExecMode::Slipstream));
+        let si_g0 = SlipstreamConfig::with_self_invalidation(ArSyncMode::ZeroTokenGlobal);
+        assert_eq!(r.spec.slip, si_g0);
+        let r = RunArgs::parse(&args("cg 2 double")).unwrap();
+        assert_eq!((r.spec.nodes, r.spec.mode), (2, ExecMode::Double));
+        assert_eq!(r.spec.slip, SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal));
+        for m in ArSyncMode::ALL {
+            let r = RunArgs::parse(&args(&format!("SOR 2 slip --ar {}", m.label()))).unwrap();
+            assert_eq!(r.spec.slip.ar_sync, m);
+        }
+    }
+
+    #[test]
+    fn run_args_reject_what_they_do_not_understand() {
+        assert!(parse_err("SOR 4 slipstream --quick").contains("unknown mode slipstream"));
+        assert!(parse_err("SOR four slip").contains("positive integer"));
+        assert!(parse_err("SOR 0 slip").contains("positive integer"));
+        assert!(parse_err("SOR 4 slip --ar XX").contains("unknown A-R method XX"));
+        assert!(parse_err("SOR 4 slip --ar").contains("--ar requires a value"));
+        assert!(parse_err("SOR 4 --quick").contains("missing <single|double|slip>"));
+        assert!(parse_err("").contains("missing <BENCH>"));
+        assert!(parse_err("NOPE 4 slip").contains("unknown benchmark NOPE"));
+    }
 }

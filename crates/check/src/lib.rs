@@ -14,8 +14,8 @@
 //!    numbers are trusted.
 //!
 //! 2. **Dynamic protocol invariant checker** ([`ProtocolChecker`],
-//!    [`run_checked`]) — shadows the directory and L2 copy state through
-//!    the observation-only [`slipstream_mem::MemTracer`] hooks during a
+//!    [`run_checked`]) — shadows the directory and L2 copy state from the
+//!    memory system's [`slipstream_mem::MemObs`] observations during a
 //!    real simulation and asserts SWMR, sharer-set/copy agreement at
 //!    quiescence, MSHR no-leak, and the §4 self-invalidation contracts
 //!    (rules `PC001`..`PC009`). Checked runs are bit-identical to

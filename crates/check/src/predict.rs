@@ -20,10 +20,10 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use slipstream_core::{run_with_tracer, ExecMode, RunSpec, Workload};
+use slipstream_core::{run_full_with_tracer, ExecMode, RunSpec, Workload};
 use slipstream_kernel::config::MachineConfig;
-use slipstream_kernel::{CpuId, Cycle, LineAddr};
-use slipstream_mem::{AccessKind, AccessOutcome, MemStats, MemTracer, StreamRole};
+use slipstream_kernel::Cycle;
+use slipstream_mem::{AccessKind, MemObs, MemStats, MemTracer};
 
 use crate::analysis::{analyze, AnalysisConfig, CostEstimate, ObservedClass, TrafficBounds};
 use crate::{instantiate_workload, json_escape};
@@ -38,8 +38,8 @@ struct ObserverState {
 }
 
 /// Observation-only [`MemTracer`] recording which nodes touch and write
-/// each cache line. Exact in single mode: the `access` hook fires for
-/// every access, hits included, so the observed sets equal the footprint
+/// each cache line. Exact in single mode: a [`MemObs::Access`] is emitted
+/// for every access, hits included, so the observed sets equal the footprint
 /// sets the analyzer computes statically.
 #[derive(Debug)]
 pub struct SharingObserver {
@@ -54,20 +54,14 @@ impl SharingObserver {
 }
 
 impl MemTracer for SharingObserver {
-    fn access(
-        &mut self,
-        _now: Cycle,
-        cpu: CpuId,
-        _role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        _outcome: AccessOutcome,
-    ) {
-        let mut st = self.state.borrow_mut();
-        let node = cpu.node().0;
-        st.accessors.entry(line.0).or_default().insert(node);
-        if kind == AccessKind::Write || kind == AccessKind::ExclPrefetch {
-            st.writers.entry(line.0).or_default().insert(node);
+    fn on(&mut self, _now: Cycle, ev: &MemObs) {
+        if let MemObs::Access { cpu, kind, line, .. } = *ev {
+            let mut st = self.state.borrow_mut();
+            let node = cpu.node().0;
+            st.accessors.entry(line.0).or_default().insert(node);
+            if kind == AccessKind::Write || kind == AccessKind::ExclPrefetch {
+                st.writers.entry(line.0).or_default().insert(node);
+            }
         }
     }
 }
@@ -246,7 +240,7 @@ pub fn cross_validate_with(
     let spec =
         RunSpec::new(ntasks as u16, ExecMode::Single).with_machine(cfg.clone());
     let (observer, state) = SharingObserver::new();
-    let result = run_with_tracer(workload, &spec, Box::new(observer));
+    let result = run_full_with_tracer(workload, &spec, Box::new(observer)).result;
     let st = state.borrow();
 
     let checks = bound_checks(&analysis.bounds, &result.mem);

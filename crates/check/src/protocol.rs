@@ -2,7 +2,7 @@
 //!
 //! [`ProtocolChecker`] installs a [`MemTracer`] that shadows the
 //! directory's permission state and the per-node L2 copy set from the
-//! observation hooks alone, and cross-checks the two against the
+//! [`MemObs`] observations alone, and cross-checks the two against the
 //! protocol's invariants while a real simulation runs. It never feeds
 //! anything back into the simulation (tracers observe only), so a checked
 //! run is bit-identical to an unchecked one — which the differential tests
@@ -32,7 +32,7 @@ use std::rc::Rc;
 
 use slipstream_core::{RunResult, RunSpec, Workload};
 use slipstream_kernel::{Cycle, FxHashMap, LineAddr, NodeId, SharerSet};
-use slipstream_mem::{MemTracer, TracePerm};
+use slipstream_mem::{MemObs, MemTracer, TracePerm};
 
 use crate::diag::json_escape;
 
@@ -57,7 +57,8 @@ pub enum ProtoRule {
     /// the exclusive owner.
     SiTarget,
     /// PC007: a directory transition whose observed pre-state disagrees
-    /// with the shadow (a missed or misordered hook — checker self-test).
+    /// with the shadow (a missed or misordered observation — checker
+    /// self-test).
     DirShadow,
     /// PC008: an invalidation or intervention sent to a node that cannot
     /// hold the line per the directory's own state.
@@ -224,7 +225,7 @@ impl Violation {
     }
 }
 
-/// Hook-event counts, so a clean report still shows the checker saw a
+/// Observation counts, so a clean report still shows the checker saw a
 /// meaningful amount of protocol traffic.
 #[derive(Debug, Default, Clone)]
 pub struct CheckCounts {
@@ -249,7 +250,7 @@ pub struct CheckReport {
     pub violations: Vec<Violation>,
     /// Violations beyond the reporting cap (counted, not stored).
     pub suppressed: u64,
-    /// Hook-event counts.
+    /// Observation counts.
     pub counts: CheckCounts,
     /// Distinct lines the checker tracked.
     pub lines_tracked: usize,
@@ -489,9 +490,8 @@ impl ProtoState {
         }
     }
 
-    fn intervention(&mut self, now: Cycle, line: LineAddr, owner: NodeId, requester: NodeId) {
+    fn intervention(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
         self.counts.coherence_msgs += 1;
-        let _ = requester;
         match self.shadow_dir(line) {
             TracePerm::Excl { owner: o } if o == owner => {}
             other => self.report(
@@ -625,8 +625,9 @@ impl ProtoState {
     }
 }
 
-/// The tracer half: forwards every hook into the shared state. Installed
-/// into the memory system via [`slipstream_core::run_with_tracer`].
+/// The tracer half: dispatches every observation to the shared state.
+/// Installed into the memory system via
+/// [`slipstream_core::run_full_with_tracer`].
 pub struct CheckTracer {
     state: Rc<RefCell<ProtoState>>,
 }
@@ -638,78 +639,35 @@ impl fmt::Debug for CheckTracer {
 }
 
 impl MemTracer for CheckTracer {
-    // `access` is deliberately not overridden: it is the hottest hook and
-    // the invariants are all expressible over fills and protocol messages.
-    // Keeping it a no-op holds checked-run overhead under the 10% budget.
-
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {
-        self.state.borrow_mut().fill(now, node, line, excl, transparent);
-    }
-
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-        self.state.borrow_mut().dir_transition(now, line, from, to, requester);
-    }
-
-    fn intervention(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        owner: NodeId,
-        requester: NodeId,
-        _excl: bool,
-    ) {
-        self.state.borrow_mut().intervention(now, line, owner, requester);
-    }
-
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {
-        self.state.borrow_mut().invalidation(now, line, target);
-    }
-
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
-        self.state.borrow_mut().si_hint(now, line, owner);
-    }
-
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, _invalidated: bool) {
-        self.state.borrow_mut().si_action(now, node, line);
-    }
-
-    fn transparent_upgrade(&mut self, _now: Cycle, line: LineAddr, _from: NodeId) {
+    fn on(&mut self, now: Cycle, ev: &MemObs) {
         let mut s = self.state.borrow_mut();
-        s.counts.si_events += 1;
-        s.transparent_lines.insert(line.0, ());
-    }
-
-    fn transparent_reply(&mut self, _now: Cycle, line: LineAddr, _from: NodeId) {
-        let mut s = self.state.borrow_mut();
-        s.counts.si_events += 1;
-        s.transparent_lines.insert(line.0, ());
-    }
-
-    fn l2_evict(&mut self, now: Cycle, node: NodeId, line: LineAddr, dirty: bool, transparent: bool) {
-        self.state.borrow_mut().l2_evict(now, node, line, dirty, transparent);
-    }
-
-    fn l2_invalidate(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().l2_invalidate(now, node, line);
-    }
-
-    fn l2_downgrade(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().l2_downgrade(now, node, line);
-    }
-
-    fn mshr_alloc(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().mshr_alloc(now, node, line);
-    }
-
-    fn mshr_free(&mut self, now: Cycle, node: NodeId, line: LineAddr) {
-        self.state.borrow_mut().mshr_free(now, node, line);
+        match *ev {
+            // Every invariant is expressible over fills and protocol
+            // messages. `Access` is the hottest observation: ignoring it
+            // holds checked-run overhead under the 10% budget.
+            MemObs::Access { .. } | MemObs::Writeback { .. } | MemObs::Sync { .. } => {}
+            MemObs::Fill { node, line, excl, transparent } => {
+                s.fill(now, node, line, excl, transparent);
+            }
+            MemObs::DirTransition { line, ref from, ref to, requester } => {
+                s.dir_transition(now, line, from, to, requester);
+            }
+            MemObs::Intervention { line, owner, .. } => s.intervention(now, line, owner),
+            MemObs::Invalidation { line, target } => s.invalidation(now, line, target),
+            MemObs::SiHint { line, owner } => s.si_hint(now, line, owner),
+            MemObs::SiAction { node, line, .. } => s.si_action(now, node, line),
+            MemObs::TransparentUpgrade { line, .. } | MemObs::TransparentReply { line, .. } => {
+                s.counts.si_events += 1;
+                s.transparent_lines.insert(line.0, ());
+            }
+            MemObs::L2Evict { node, line, dirty, transparent } => {
+                s.l2_evict(now, node, line, dirty, transparent);
+            }
+            MemObs::L2Invalidate { node, line } => s.l2_invalidate(now, node, line),
+            MemObs::L2Downgrade { node, line } => s.l2_downgrade(now, node, line),
+            MemObs::MshrAlloc { node, line } => s.mshr_alloc(now, node, line),
+            MemObs::MshrFree { node, line } => s.mshr_free(now, node, line),
+        }
     }
 }
 
@@ -759,6 +717,6 @@ impl ProtoState {
 /// The [`RunResult`] is bit-identical to an unchecked run.
 pub fn run_checked(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, CheckReport) {
     let (checker, tracer) = ProtocolChecker::new();
-    let result = slipstream_core::run_with_tracer(workload, spec, tracer);
+    let result = slipstream_core::run_full_with_tracer(workload, spec, tracer).result;
     (result, checker.finish())
 }

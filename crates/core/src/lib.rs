@@ -63,8 +63,7 @@ mod workload;
 pub use machine::Machine;
 pub use report::{RunResult, StreamReport, TimeBreakdown};
 pub use runner::{
-    run, run_full, run_full_with_tracer, run_sequential, run_traced, run_with_tracer, RunOutput,
-    RunSpec,
+    run, run_full, run_full_with_tracer, run_sequential, run_traced, RunOutput, RunSpec,
 };
 pub use telemetry::{HostProfile, HostProfileData, HOST_PROFILE_SCHEMA};
 pub use stream::{BlockKind, StreamState};

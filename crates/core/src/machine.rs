@@ -3,8 +3,7 @@ use std::rc::Rc;
 use slipstream_kernel::config::{ArSyncMode, ExecMode, MachineConfig, SlipstreamConfig};
 use slipstream_kernel::{Cycle, EventQueue, TaskId};
 use slipstream_mem::{
-    Access, AccessKind, Completion, FanoutTracer, MemEvent, MemSched, MemSystem, MemTracer,
-    StreamRole, SyncOp,
+    Access, AccessKind, Completion, MemEvent, MemSched, MemSystem, MemTracer, StreamRole, SyncOp,
 };
 use slipstream_prog::{Op, ProgramIter, Space};
 
@@ -114,19 +113,13 @@ impl Machine {
         fastpath: bool,
         extra_tracer: Option<Box<dyn MemTracer>>,
     ) -> Machine {
-        let mut recorder: Option<Box<dyn MemTracer>> = None;
-        let trace = if trace_cfg.enabled() {
-            let (state, rec) = TraceState::new(trace_cfg);
-            recorder = Some(Box::new(rec));
-            Some(state)
-        } else {
-            None
-        };
-        match (recorder, extra_tracer) {
-            (Some(r), Some(e)) => mem.set_tracer(Box::new(FanoutTracer::new(vec![r, e]))),
-            (Some(r), None) => mem.set_tracer(r),
-            (None, Some(e)) => mem.set_tracer(e),
-            (None, None) => {}
+        let trace = trace_cfg.enabled().then(|| {
+            let (state, recorder) = TraceState::new(trace_cfg);
+            mem.add_tracer(Box::new(recorder));
+            state
+        });
+        if let Some(t) = extra_tracer {
+            mem.add_tracer(t);
         }
         let mut cpu_map = vec![None; cfg.nodes as usize * 2];
         for (i, s) in streams.iter().enumerate() {
@@ -294,7 +287,7 @@ impl Machine {
             }
             // Drop the memory system's recorder so ours is the only
             // handle left on the shared buffer.
-            drop(self.mem.clear_tracer());
+            drop(self.mem.take_tracers());
             let buf = Rc::try_unwrap(ts.buf)
                 .expect("trace buffer uniquely owned once the recorder is detached")
                 .into_inner();

@@ -129,20 +129,6 @@ pub fn run_traced(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, Option
     (out.result, out.trace)
 }
 
-/// Like [`run`], but installs `tracer` as an additional [`MemTracer`] for
-/// the duration of the run (fanned out with the trace recorder when
-/// `spec.trace` is also enabled). Tracers observe only, so the
-/// [`RunResult`] is bit-identical to an untraced run; the caller keeps
-/// whatever shared handle its tracer exposes (e.g. an `Rc` into collected
-/// state) and inspects it after the run returns.
-pub fn run_with_tracer(
-    workload: &dyn Workload,
-    spec: &RunSpec,
-    tracer: Box<dyn slipstream_mem::MemTracer>,
-) -> RunResult {
-    run_inner(workload, spec, Some(tracer)).result
-}
-
 /// Everything one run can produce: the measurements, the optional trace,
 /// and the optional host profile ([`crate::telemetry`]). `trace` is
 /// `Some` iff `spec.trace` enables collection; `profile` is `Some` iff
@@ -164,9 +150,12 @@ pub fn run_full(workload: &dyn Workload, spec: &RunSpec) -> RunOutput {
     run_inner(workload, spec, None)
 }
 
-/// [`run_full`] with an additional caller-supplied [`MemTracer`] attached
-/// for the duration of the run (the combination the protocol checker
-/// needs to observe a profiled run).
+/// [`run_full`] with an additional caller-supplied
+/// [`slipstream_mem::MemTracer`] attached for the duration of the run,
+/// after the trace recorder when `spec.trace` is also enabled. Tracers
+/// observe only, so the [`RunResult`] is bit-identical to an untraced
+/// run; the caller keeps whatever shared handle its tracer exposes (e.g.
+/// an `Rc` into collected state) and inspects it after the run returns.
 pub fn run_full_with_tracer(
     workload: &dyn Workload,
     spec: &RunSpec,

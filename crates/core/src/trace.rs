@@ -1,11 +1,13 @@
 //! Run-level observability: structured event traces, interval metrics, and
 //! hot-line profiling.
 //!
-//! The memory system exposes raw protocol observations through the
-//! [`MemTracer`] hook trait (in `slipstream-mem`); this module is the
-//! collector side. A [`Recorder`] installed into the memory system and the
-//! machine loop's own records (recoveries, session ends) feed a shared
-//! [`TraceBuffer`]; the machine additionally snapshots [`IntervalSample`]s
+//! The memory system reports protocol observations as [`MemObs`] values
+//! through the one-method [`MemTracer`] hook (in `slipstream-mem`); this
+//! module is the collector side. A [`Recorder`] installed into the memory
+//! system decides, in one `match`, which observations to keep as
+//! [`TraceKind::Mem`] records; together with the machine loop's own
+//! records (recoveries, session ends) they feed a shared [`TraceBuffer`].
+//! The machine additionally snapshots [`IntervalSample`]s
 //! at a configurable cycle interval. At the end of a run everything is
 //! packaged into a [`TraceData`], which knows how to export itself as
 //!
@@ -30,9 +32,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use slipstream_kernel::{CpuId, Cycle, FxHashMap, LineAddr, NodeId};
+use slipstream_kernel::{Cycle, FxHashMap, LineAddr, NodeId};
 use slipstream_mem::{
-    AccessKind, AccessOutcome, MemStats, MemTracer, StreamRole, SyncOp, TracePerm,
+    AccessKind, AccessOutcome, MemObs, MemStats, MemTracer, StreamRole, SyncOp, TracePerm,
 };
 use slipstream_prog::{BarrierId, EventId, LockId};
 
@@ -84,36 +86,17 @@ pub struct TraceRecord {
     pub kind: TraceKind,
 }
 
-/// The typed event vocabulary. Protocol-level events come from the
-/// [`Recorder`]'s [`MemTracer`] hooks; `Recovery` and `SessionEnd` come
-/// from the machine loop.
+/// The typed event vocabulary: the memory-system observations the
+/// [`Recorder`] keeps, plus the machine loop's own `Recovery` and
+/// `SessionEnd`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
-    /// An access missed the L2 and started (or merged into) a directory
-    /// transaction.
-    MissStart { cpu: CpuId, role: StreamRole, kind: AccessKind, line: LineAddr, merged: bool },
-    /// A fill completed at `node` (transparent fills are A-stream-only).
-    Fill { node: NodeId, line: LineAddr, excl: bool, transparent: bool },
-    /// The home directory's permission state changed.
-    DirTransition { line: LineAddr, from: TracePerm, to: TracePerm, requester: NodeId },
-    /// The directory forwarded an intervention to the exclusive owner.
-    Intervention { line: LineAddr, owner: NodeId, requester: NodeId, excl: bool },
-    /// An invalidation was sent to a sharer.
-    Invalidation { line: LineAddr, target: NodeId },
-    /// A self-invalidation hint was sent to the exclusive owner (§4.2).
-    SiHint { line: LineAddr, owner: NodeId },
-    /// A flagged line was processed at a sync point: invalidated
-    /// (migratory) or written back and downgraded (producer-consumer).
-    SiAction { node: NodeId, line: LineAddr, invalidated: bool },
-    /// A transparent load was upgraded to a normal load at the directory.
-    TransparentUpgrade { line: LineAddr, from: NodeId },
-    /// A transparent load was answered with a (possibly stale) memory copy.
-    TransparentReply { line: LineAddr, from: NodeId },
-    /// A dirty writeback arrived at the home.
-    Writeback { line: LineAddr, from: NodeId },
-    /// The sync controller handled an operation, releasing `granted`
-    /// blocked processors (barrier release = the arrival with granted > 0).
-    Sync { cpu: CpuId, op: SyncOp, granted: u32 },
+    /// A memory-system observation. The recorder keeps L2 misses (new or
+    /// merged), fills, directory transitions, interventions,
+    /// invalidations, SI hints and actions, transparent upgrades and
+    /// replies, writebacks and sync operations; hits and prefetch
+    /// decisions are counted in [`AccessCounts`] only.
+    Mem(MemObs),
     /// A deviated A-stream was killed and reforked (§3.2). Sessions are
     /// the pre-recovery counters.
     Recovery { node: NodeId, r_session: u64, a_session: u64 },
@@ -206,11 +189,10 @@ impl TraceBuffer {
         }
     }
 
-    fn hot_line(&mut self, line: LineAddr) -> Option<&mut LineCounters> {
+    /// Bumps one of `line`'s hot-line counters (when `hotlines` is on).
+    fn bump(&mut self, line: LineAddr, counter: fn(&mut LineCounters) -> &mut u64) {
         if self.hotlines_on {
-            Some(self.hot.entry(line.0).or_default())
-        } else {
-            None
+            *counter(self.hot.entry(line.0).or_default()) += 1;
         }
     }
 }
@@ -237,106 +219,46 @@ impl Recorder {
 }
 
 impl MemTracer for Recorder {
-    fn access(
-        &mut self,
-        now: Cycle,
-        cpu: CpuId,
-        role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        outcome: AccessOutcome,
-    ) {
+    /// Counts every access, profiles hot lines, and keeps the observation
+    /// as a record unless it is a hit, a prefetch decision, or cache-side
+    /// bookkeeping (evictions, L2 drops, MSHRs).
+    fn on(&mut self, now: Cycle, ev: &MemObs) {
         let mut b = self.buf.borrow_mut();
-        match outcome {
-            AccessOutcome::L1Hit => b.counts.l1_hits += 1,
-            AccessOutcome::L2Hit => b.counts.l2_hits += 1,
-            AccessOutcome::MissNew => b.counts.miss_new += 1,
-            AccessOutcome::MissMerged => b.counts.miss_merged += 1,
-            AccessOutcome::PrefetchIssued => b.counts.prefetch_issued += 1,
-            AccessOutcome::PrefetchDropped => b.counts.prefetch_dropped += 1,
+        match *ev {
+            MemObs::Access { line, outcome, .. } => {
+                let c = &mut b.counts;
+                let count = match outcome {
+                    AccessOutcome::L1Hit => &mut c.l1_hits,
+                    AccessOutcome::L2Hit => &mut c.l2_hits,
+                    AccessOutcome::MissNew => &mut c.miss_new,
+                    AccessOutcome::MissMerged => &mut c.miss_merged,
+                    AccessOutcome::PrefetchIssued => &mut c.prefetch_issued,
+                    AccessOutcome::PrefetchDropped => &mut c.prefetch_dropped,
+                };
+                *count += 1;
+                if !matches!(outcome, AccessOutcome::MissNew | AccessOutcome::MissMerged) {
+                    return;
+                }
+                b.bump(line, |h| &mut h.misses);
+            }
+            MemObs::Intervention { line, .. } => b.bump(line, |h| &mut h.interventions),
+            MemObs::Invalidation { line, .. } => b.bump(line, |h| &mut h.invalidations),
+            MemObs::SiHint { line, .. } | MemObs::SiAction { line, .. } => {
+                b.bump(line, |h| &mut h.si);
+            }
+            MemObs::Fill { .. }
+            | MemObs::DirTransition { .. }
+            | MemObs::TransparentUpgrade { .. }
+            | MemObs::TransparentReply { .. }
+            | MemObs::Writeback { .. }
+            | MemObs::Sync { .. } => {}
+            MemObs::L2Evict { .. }
+            | MemObs::L2Invalidate { .. }
+            | MemObs::L2Downgrade { .. }
+            | MemObs::MshrAlloc { .. }
+            | MemObs::MshrFree { .. } => return,
         }
-        let merged = match outcome {
-            AccessOutcome::MissNew => false,
-            AccessOutcome::MissMerged => true,
-            _ => return, // hits and prefetch decisions are counters only
-        };
-        if let Some(h) = b.hot_line(line) {
-            h.misses += 1;
-        }
-        b.push(now, TraceKind::MissStart { cpu, role, kind, line, merged });
-    }
-
-    fn fill(&mut self, now: Cycle, node: NodeId, line: LineAddr, excl: bool, transparent: bool) {
-        self.buf.borrow_mut().push(now, TraceKind::Fill { node, line, excl, transparent });
-    }
-
-    fn dir_transition(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        from: &TracePerm,
-        to: &TracePerm,
-        requester: NodeId,
-    ) {
-        self.buf.borrow_mut().push(
-            now,
-            TraceKind::DirTransition { line, from: from.clone(), to: to.clone(), requester },
-        );
-    }
-
-    fn intervention(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        owner: NodeId,
-        requester: NodeId,
-        excl: bool,
-    ) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.interventions += 1;
-        }
-        b.push(now, TraceKind::Intervention { line, owner, requester, excl });
-    }
-
-    fn invalidation(&mut self, now: Cycle, line: LineAddr, target: NodeId) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.invalidations += 1;
-        }
-        b.push(now, TraceKind::Invalidation { line, target });
-    }
-
-    fn si_hint(&mut self, now: Cycle, line: LineAddr, owner: NodeId) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.si += 1;
-        }
-        b.push(now, TraceKind::SiHint { line, owner });
-    }
-
-    fn si_action(&mut self, now: Cycle, node: NodeId, line: LineAddr, invalidated: bool) {
-        let mut b = self.buf.borrow_mut();
-        if let Some(h) = b.hot_line(line) {
-            h.si += 1;
-        }
-        b.push(now, TraceKind::SiAction { node, line, invalidated });
-    }
-
-    fn transparent_upgrade(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::TransparentUpgrade { line, from });
-    }
-
-    fn transparent_reply(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::TransparentReply { line, from });
-    }
-
-    fn writeback(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
-        self.buf.borrow_mut().push(now, TraceKind::Writeback { line, from });
-    }
-
-    fn sync_event(&mut self, now: Cycle, cpu: CpuId, op: SyncOp, granted: u32) {
-        self.buf.borrow_mut().push(now, TraceKind::Sync { cpu, op, granted });
+        b.push(now, TraceKind::Mem(ev.clone()));
     }
 }
 
@@ -458,7 +380,7 @@ impl TraceData {
         let mut nodes: Vec<u16> = self
             .records
             .iter()
-            .map(|r| chrome_pid(&r.kind))
+            .map(|r| event_meta(&r.kind).2)
             .chain(self.samples.iter().flat_map(|_| [0u16]))
             .collect();
         nodes.sort_unstable();
@@ -473,14 +395,11 @@ impl TraceData {
         }
         for r in &self.records {
             sep(&mut out);
-            let pid = chrome_pid(&r.kind);
-            let tid = chrome_tid(&r.kind);
+            let (name, cat, pid, tid) = event_meta(&r.kind);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"p\",\
+                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"p\",\
                  \"ts\":{},\"pid\":{pid},\"tid\":{tid},\"args\":",
-                event_name(&r.kind),
-                event_category(&r.kind),
                 r.t,
             );
             args_json(&mut out, &r.kind);
@@ -611,60 +530,34 @@ impl TraceData {
     }
 }
 
-fn chrome_pid(k: &TraceKind) -> u16 {
-    match *k {
-        TraceKind::MissStart { cpu, .. } | TraceKind::Sync { cpu, .. } => cpu.node().0,
-        TraceKind::Fill { node, .. }
-        | TraceKind::SiAction { node, .. }
-        | TraceKind::Recovery { node, .. }
-        | TraceKind::SessionEnd { node, .. } => node.0,
-        TraceKind::DirTransition { requester, .. } => requester.0,
-        TraceKind::Intervention { owner, .. } | TraceKind::SiHint { owner, .. } => owner.0,
-        TraceKind::Invalidation { target, .. } => target.0,
-        TraceKind::TransparentUpgrade { from, .. }
-        | TraceKind::TransparentReply { from, .. }
-        | TraceKind::Writeback { from, .. } => from.0,
-    }
-}
-
-fn chrome_tid(k: &TraceKind) -> u32 {
-    match *k {
-        TraceKind::MissStart { cpu, .. } | TraceKind::Sync { cpu, .. } => cpu.core() as u32,
-        _ => 0,
-    }
-}
-
-fn event_name(k: &TraceKind) -> &'static str {
-    match k {
-        TraceKind::MissStart { .. } => "miss",
-        TraceKind::Fill { .. } => "fill",
-        TraceKind::DirTransition { .. } => "dir_transition",
-        TraceKind::Intervention { .. } => "intervention",
-        TraceKind::Invalidation { .. } => "invalidation",
-        TraceKind::SiHint { .. } => "si_hint",
-        TraceKind::SiAction { .. } => "si_action",
-        TraceKind::TransparentUpgrade { .. } => "transparent_upgrade",
-        TraceKind::TransparentReply { .. } => "transparent_reply",
-        TraceKind::Writeback { .. } => "writeback",
-        TraceKind::Sync { op, .. } => sync_op_parts(*op).0,
-        TraceKind::Recovery { .. } => "recovery",
-        TraceKind::SessionEnd { .. } => "session_end",
-    }
-}
-
-fn event_category(k: &TraceKind) -> &'static str {
-    match k {
-        TraceKind::MissStart { .. } | TraceKind::Fill { .. } => "cache",
-        TraceKind::DirTransition { .. }
-        | TraceKind::Intervention { .. }
-        | TraceKind::Invalidation { .. }
-        | TraceKind::Writeback { .. } => "directory",
-        TraceKind::SiHint { .. }
-        | TraceKind::SiAction { .. }
-        | TraceKind::TransparentUpgrade { .. }
-        | TraceKind::TransparentReply { .. } => "slipstream",
-        TraceKind::Sync { .. } => "sync",
-        TraceKind::Recovery { .. } | TraceKind::SessionEnd { .. } => "runtime",
+/// A record's event name, Chrome category, and Chrome process (node) and
+/// thread (core) ids.
+fn event_meta(k: &TraceKind) -> (&'static str, &'static str, u16, u32) {
+    let m = match k {
+        TraceKind::Mem(m) => m,
+        TraceKind::Recovery { node, .. } => return ("recovery", "runtime", node.0, 0),
+        TraceKind::SessionEnd { node, .. } => return ("session_end", "runtime", node.0, 0),
+    };
+    match *m {
+        // The recorder keeps only the miss outcomes of an access.
+        MemObs::Access { cpu, .. } => ("miss", "cache", cpu.node().0, cpu.core() as u32),
+        MemObs::Fill { node, .. } => ("fill", "cache", node.0, 0),
+        MemObs::L2Evict { node, .. } => ("l2_evict", "cache", node.0, 0),
+        MemObs::L2Invalidate { node, .. } => ("l2_invalidate", "cache", node.0, 0),
+        MemObs::L2Downgrade { node, .. } => ("l2_downgrade", "cache", node.0, 0),
+        MemObs::MshrAlloc { node, .. } => ("mshr_alloc", "cache", node.0, 0),
+        MemObs::MshrFree { node, .. } => ("mshr_free", "cache", node.0, 0),
+        MemObs::DirTransition { requester, .. } => ("dir_transition", "directory", requester.0, 0),
+        MemObs::Intervention { owner, .. } => ("intervention", "directory", owner.0, 0),
+        MemObs::Invalidation { target, .. } => ("invalidation", "directory", target.0, 0),
+        MemObs::Writeback { from, .. } => ("writeback", "directory", from.0, 0),
+        MemObs::SiHint { owner, .. } => ("si_hint", "slipstream", owner.0, 0),
+        MemObs::SiAction { node, .. } => ("si_action", "slipstream", node.0, 0),
+        MemObs::TransparentUpgrade { from, .. } => ("transparent_upgrade", "slipstream", from.0, 0),
+        MemObs::TransparentReply { from, .. } => ("transparent_reply", "slipstream", from.0, 0),
+        MemObs::Sync { cpu, op, .. } => {
+            (sync_op_parts(op).0, "sync", cpu.node().0, cpu.core() as u32)
+        }
     }
 }
 
@@ -731,8 +624,23 @@ fn perm_json(out: &mut String, p: &TracePerm) {
 /// The event's payload fields, as one JSON object (shared by the JSONL and
 /// Chrome exporters).
 fn args_json(out: &mut String, k: &TraceKind) {
-    match k {
-        TraceKind::MissStart { cpu, role, kind, line, merged } => {
+    let m = match k {
+        TraceKind::Mem(m) => m,
+        TraceKind::Recovery { node, r_session, a_session } => {
+            let _ = write!(
+                out,
+                "{{\"node\":{},\"r_session\":{r_session},\"a_session\":{a_session}}}",
+                node.0
+            );
+            return;
+        }
+        TraceKind::SessionEnd { node, session } => {
+            let _ = write!(out, "{{\"node\":{},\"session\":{session}}}", node.0);
+            return;
+        }
+    };
+    match m {
+        MemObs::Access { cpu, role, kind, line, outcome } => {
             let _ = write!(
                 out,
                 "{{\"node\":{},\"core\":{},\"role\":\"{}\",\"kind\":\"{}\",\
@@ -742,50 +650,63 @@ fn args_json(out: &mut String, k: &TraceKind) {
                 role_str(*role),
                 access_kind_str(*kind),
                 line.0,
-                merged
+                *outcome == AccessOutcome::MissMerged
             );
         }
-        TraceKind::Fill { node, line, excl, transparent } => {
+        MemObs::Fill { node, line, excl, transparent } => {
             let _ = write!(
                 out,
                 "{{\"node\":{},\"line\":{},\"excl\":{excl},\"transparent\":{transparent}}}",
                 node.0, line.0
             );
         }
-        TraceKind::DirTransition { line, from, to, requester } => {
+        MemObs::L2Evict { node, line, dirty, transparent } => {
+            let _ = write!(
+                out,
+                "{{\"node\":{},\"line\":{},\"dirty\":{dirty},\"transparent\":{transparent}}}",
+                node.0, line.0
+            );
+        }
+        MemObs::L2Invalidate { node, line }
+        | MemObs::L2Downgrade { node, line }
+        | MemObs::MshrAlloc { node, line }
+        | MemObs::MshrFree { node, line } => {
+            let _ = write!(out, "{{\"node\":{},\"line\":{}}}", node.0, line.0);
+        }
+        MemObs::DirTransition { line, from, to, requester } => {
             let _ = write!(out, "{{\"line\":{},\"requester\":{},\"from\":", line.0, requester.0);
             perm_json(out, from);
             out.push_str(",\"to\":");
             perm_json(out, to);
             out.push('}');
         }
-        TraceKind::Intervention { line, owner, requester, excl } => {
+        MemObs::Intervention { line, owner, requester, excl } => {
             let _ = write!(
                 out,
                 "{{\"line\":{},\"owner\":{},\"requester\":{},\"excl\":{excl}}}",
                 line.0, owner.0, requester.0
             );
         }
-        TraceKind::Invalidation { line, target } => {
+        MemObs::Invalidation { line, target } => {
             let _ = write!(out, "{{\"line\":{},\"target\":{}}}", line.0, target.0);
         }
-        TraceKind::SiHint { line, owner } => {
+        MemObs::SiHint { line, owner } => {
             let _ = write!(out, "{{\"line\":{},\"owner\":{}}}", line.0, owner.0);
         }
-        TraceKind::SiAction { node, line, invalidated } => {
+        MemObs::SiAction { node, line, invalidated } => {
             let _ = write!(
                 out,
                 "{{\"node\":{},\"line\":{},\"invalidated\":{invalidated}}}",
                 node.0, line.0
             );
         }
-        TraceKind::TransparentUpgrade { line, from } | TraceKind::TransparentReply { line, from } => {
+        MemObs::TransparentUpgrade { line, from } | MemObs::TransparentReply { line, from } => {
             let _ = write!(out, "{{\"line\":{},\"node\":{}}}", line.0, from.0);
         }
-        TraceKind::Writeback { line, from } => {
+        MemObs::Writeback { line, from } => {
             let _ = write!(out, "{{\"line\":{},\"from\":{}}}", line.0, from.0);
         }
-        TraceKind::Sync { cpu, op, granted } => {
+        MemObs::Sync { cpu, op, granted } => {
             let (_, id) = sync_op_parts(*op);
             let _ = write!(
                 out,
@@ -794,21 +715,11 @@ fn args_json(out: &mut String, k: &TraceKind) {
                 cpu.core()
             );
         }
-        TraceKind::Recovery { node, r_session, a_session } => {
-            let _ = write!(
-                out,
-                "{{\"node\":{},\"r_session\":{r_session},\"a_session\":{a_session}}}",
-                node.0
-            );
-        }
-        TraceKind::SessionEnd { node, session } => {
-            let _ = write!(out, "{{\"node\":{},\"session\":{session}}}", node.0);
-        }
     }
 }
 
 fn record_json(out: &mut String, r: &TraceRecord) {
-    let _ = write!(out, "{{\"t\":{},\"ev\":\"{}\",\"args\":", r.t, event_name(&r.kind));
+    let _ = write!(out, "{{\"t\":{},\"ev\":\"{}\",\"args\":", r.t, event_meta(&r.kind).0);
     args_json(out, &r.kind);
     out.push('}');
 }
@@ -943,6 +854,8 @@ pub fn run_result_json(r: &RunResult) -> String {
 
 #[cfg(test)]
 mod tests {
+    use slipstream_kernel::CpuId;
+
     use super::*;
 
     #[test]
@@ -960,7 +873,8 @@ mod tests {
         let cfg = TraceConfig { events: true, max_events: 2, ..TraceConfig::default() };
         let mut buf = TraceBuffer::new(&cfg);
         for i in 0..5u64 {
-            buf.push(Cycle(i), TraceKind::Writeback { line: LineAddr(i), from: NodeId(0) });
+            let wb = MemObs::Writeback { line: LineAddr(i), from: NodeId(0) };
+            buf.push(Cycle(i), TraceKind::Mem(wb));
         }
         assert_eq!(buf.records.len(), 2);
         assert_eq!(buf.dropped, 3);
@@ -970,7 +884,8 @@ mod tests {
     fn buffer_ignores_events_when_off() {
         let cfg = TraceConfig { hotlines: true, ..TraceConfig::default() };
         let mut buf = TraceBuffer::new(&cfg);
-        buf.push(Cycle(1), TraceKind::Writeback { line: LineAddr(1), from: NodeId(0) });
+        let wb = MemObs::Writeback { line: LineAddr(1), from: NodeId(0) };
+        buf.push(Cycle(1), TraceKind::Mem(wb));
         assert!(buf.records.is_empty());
         assert_eq!(buf.dropped, 0);
     }
@@ -980,11 +895,20 @@ mod tests {
         let cfg = TraceConfig { events: true, hotlines: true, ..TraceConfig::default() };
         let buf = Rc::new(RefCell::new(TraceBuffer::new(&cfg)));
         let mut rec = Recorder::new(buf.clone());
-        let cpu = CpuId::new(NodeId(1), 0);
-        rec.access(Cycle(5), cpu, StreamRole::R, AccessKind::Read, LineAddr(7), AccessOutcome::L1Hit);
-        rec.access(Cycle(6), cpu, StreamRole::R, AccessKind::Read, LineAddr(7), AccessOutcome::MissNew);
-        rec.access(Cycle(7), cpu, StreamRole::A, AccessKind::Read, LineAddr(7), AccessOutcome::MissMerged);
-        rec.intervention(Cycle(8), LineAddr(7), NodeId(0), NodeId(1), true);
+        let access = |role, outcome| MemObs::Access {
+            cpu: CpuId::new(NodeId(1), 0),
+            role,
+            kind: AccessKind::Read,
+            line: LineAddr(7),
+            outcome,
+        };
+        rec.on(Cycle(5), &access(StreamRole::R, AccessOutcome::L1Hit));
+        rec.on(Cycle(6), &access(StreamRole::R, AccessOutcome::MissNew));
+        rec.on(Cycle(7), &access(StreamRole::A, AccessOutcome::MissMerged));
+        let (line, owner, requester) = (LineAddr(7), NodeId(0), NodeId(1));
+        rec.on(Cycle(8), &MemObs::Intervention { line, owner, requester, excl: true });
+        // Cache-side bookkeeping is never recorded.
+        rec.on(Cycle(9), &MemObs::MshrFree { node: requester, line });
         let b = buf.borrow();
         assert_eq!(b.counts.l1_hits, 1);
         assert_eq!(b.counts.miss_new, 1);
@@ -1027,30 +951,30 @@ mod tests {
         let mut buf = TraceBuffer::new(&cfg);
         buf.push(
             Cycle(1),
-            TraceKind::MissStart {
+            TraceKind::Mem(MemObs::Access {
                 cpu: CpuId::new(NodeId(0), 1),
                 role: StreamRole::A,
                 kind: AccessKind::TransparentRead,
                 line: LineAddr(42),
-                merged: false,
-            },
+                outcome: AccessOutcome::MissMerged,
+            }),
         );
         buf.push(
             Cycle(2),
-            TraceKind::DirTransition {
+            TraceKind::Mem(MemObs::DirTransition {
                 line: LineAddr(42),
                 from: TracePerm::Uncached,
                 to: TracePerm::Excl { owner: NodeId(1) },
                 requester: NodeId(1),
-            },
+            }),
         );
         buf.push(
             Cycle(3),
-            TraceKind::Sync {
+            TraceKind::Mem(MemObs::Sync {
                 cpu: CpuId::new(NodeId(0), 0),
                 op: SyncOp::BarrierArrive(BarrierId(2)),
                 granted: 4,
-            },
+            }),
         );
         let sample = IntervalSample {
             cycle: 100,
@@ -1067,6 +991,7 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 3);
         assert!(jsonl.contains("\"ev\":\"miss\""));
         assert!(jsonl.contains("\"kind\":\"trans_read\""));
+        assert!(jsonl.contains("\"merged\":true"));
         assert!(jsonl.contains("\"ev\":\"barrier_arrive\""));
         assert!(jsonl.contains("\"granted\":4"));
 

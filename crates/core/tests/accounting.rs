@@ -174,7 +174,7 @@ fn tracer_counts_agree_with_mem_stats() {
         .with_trace(TraceConfig::full(10_000));
     let (r, data) = run_traced(&w, &spec);
     let c = data.expect("trace enabled").counts;
-    // The tracer counts at the access hook; the memory system counts in
+    // The tracer counts `Access` observations; the memory system counts in
     // its own bookkeeping. They must tell the same story.
     assert_eq!(c.l1_hits, r.mem.l1_hits);
     assert_eq!(c.l2_hits, r.mem.l2_hits);

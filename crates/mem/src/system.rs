@@ -11,7 +11,7 @@ use crate::l2::{L2Cache, L2Line, L2State, Mshr, Waiter};
 use crate::msg::{AccessKind, Completion, MemEvent, Msg, MsgKind, StreamRole, SyncOp, Token};
 use crate::stats::MemStats;
 use crate::sync::{SyncCtl, SyncOutcome};
-use crate::trace::{AccessOutcome, MemTracer, TracePerm};
+use crate::trace::{AccessOutcome, MemObs, MemTracer, TracePerm};
 
 /// Where the memory system schedules its internal events.
 ///
@@ -153,9 +153,10 @@ pub struct MemSystem {
     stats: MemStats,
     next_token: u64,
     si_interval: u64,
-    /// Observability hook ([`MemTracer`]); `None` on the default path, so
-    /// tracing costs one branch per hook site when disabled.
-    tracer: Option<Box<dyn MemTracer>>,
+    /// Observability hooks ([`MemTracer`]), in installation order; empty on
+    /// the default path, so tracing costs one branch per observation site
+    /// when disabled.
+    tracers: Vec<Box<dyn MemTracer>>,
 }
 
 /// Adds `from` to a shared line's sharer set under the configured
@@ -218,34 +219,33 @@ impl MemSystem {
             stats: MemStats::default(),
             next_token: 0,
             si_interval: 4,
-            tracer: None,
+            tracers: Vec::new(),
         }
     }
 
-    /// Installs an observability hook. Tracers are purely observational —
-    /// see [`MemTracer`] — so installing one never changes simulated
-    /// behavior.
-    pub fn set_tracer(&mut self, tracer: Box<dyn MemTracer>) {
-        self.tracer = Some(tracer);
+    /// Installs an observability hook after any already installed; each
+    /// observation reaches the tracers in installation order. Tracers are
+    /// purely observational — see [`MemTracer`] — so installing one never
+    /// changes simulated behavior.
+    pub fn add_tracer(&mut self, tracer: Box<dyn MemTracer>) {
+        self.tracers.push(tracer);
     }
 
-    /// Removes and returns the installed tracer, if any.
-    pub fn clear_tracer(&mut self) -> Option<Box<dyn MemTracer>> {
-        self.tracer.take()
+    /// Removes and returns the installed tracers, in installation order.
+    pub fn take_tracers(&mut self) -> Vec<Box<dyn MemTracer>> {
+        std::mem::take(&mut self.tracers)
     }
 
-    #[inline]
-    fn trace_access(
-        &mut self,
-        now: Cycle,
-        cpu: CpuId,
-        role: StreamRole,
-        kind: AccessKind,
-        line: LineAddr,
-        outcome: AccessOutcome,
-    ) {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.access(now, cpu, role, kind, line, outcome);
+    /// Hands `ev` to every installed tracer. Untraced, this is one
+    /// `is_empty` branch: the observation is never built. Always inlined,
+    /// so no call site pays a call for the check.
+    #[inline(always)]
+    fn emit(&mut self, now: Cycle, ev: MemObs) {
+        if self.tracers.is_empty() {
+            return;
+        }
+        for t in &mut self.tracers {
+            t.on(now, &ev);
         }
     }
 
@@ -343,7 +343,7 @@ impl MemSystem {
         let kind = if trans { AccessKind::TransparentRead } else { AccessKind::Read };
         if self.nodes[n].l1[core].lookup(line).is_some() {
             self.stats.l1_hits += 1;
-            self.trace_access(now, cpu, role, kind, line, AccessOutcome::L1Hit);
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome: AccessOutcome::L1Hit });
             return Access::HitL1;
         }
         // L2 lookup.
@@ -367,7 +367,7 @@ impl MemSystem {
         }
         if l2_hit {
             self.stats.l2_hits += 1;
-            self.trace_access(now, cpu, role, kind, line, AccessOutcome::L2Hit);
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome: AccessOutcome::L2Hit });
             self.fill_l1(cpu, line, L1State::Shared);
             let token = self.token();
             sched.sched(now + self.lat.l2_hit, MemEvent::L2Done { cpu, token });
@@ -429,11 +429,9 @@ impl MemSystem {
             }
         }
         let outcome = if merged { AccessOutcome::MissMerged } else { AccessOutcome::MissNew };
-        self.trace_access(now, cpu, role, kind, line, outcome);
+        self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
         if !merged {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_alloc(now, node_id, line);
-            }
+            self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         }
         if let Some(kind) = launch {
             self.issue_txn(now, node_id, line, kind, sched);
@@ -456,7 +454,8 @@ impl MemSystem {
         let core = cpu.core() as usize;
         if self.nodes[n].l1[core].lookup(line) == Some(L1State::Modified) {
             self.stats.l1_hits += 1;
-            self.trace_access(now, cpu, role, AccessKind::Write, line, AccessOutcome::L1Hit);
+            let (kind, outcome) = (AccessKind::Write, AccessOutcome::L1Hit);
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
             return Access::HitL1;
         }
         let node_id = cpu.node();
@@ -488,7 +487,8 @@ impl MemSystem {
         }
         if grant {
             self.stats.l2_hits += 1;
-            self.trace_access(now, cpu, role, AccessKind::Write, line, AccessOutcome::L2Hit);
+            let (kind, outcome) = (AccessKind::Write, AccessOutcome::L2Hit);
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
             self.fill_l1(cpu, line, L1State::Modified);
             sched.sched(now + self.lat.l2_hit, MemEvent::L2Done { cpu, token });
             return Access::Pending(token);
@@ -537,11 +537,9 @@ impl MemSystem {
             }
         }
         let outcome = if merged { AccessOutcome::MissMerged } else { AccessOutcome::MissNew };
-        self.trace_access(now, cpu, role, AccessKind::Write, line, outcome);
+        self.emit(now, MemObs::Access { cpu, role, kind: AccessKind::Write, line, outcome });
         if !merged {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_alloc(now, node_id, line);
-            }
+            self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         }
         if let Some(kind) = launch {
             self.issue_txn(now, node_id, line, kind, sched);
@@ -580,30 +578,17 @@ impl MemSystem {
                 had_shared
             }
         };
+        let (role, kind) = (StreamRole::A, AccessKind::ExclPrefetch);
         let Some(had_shared) = issue else {
-            self.trace_access(
-                now,
-                cpu,
-                StreamRole::A,
-                AccessKind::ExclPrefetch,
-                line,
-                AccessOutcome::PrefetchDropped,
-            );
+            let outcome = AccessOutcome::PrefetchDropped;
+            self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
             return Access::Accepted;
         };
         self.stats.excl_txns += 1;
         self.stats.excl_prefetches += 1;
-        self.trace_access(
-            now,
-            cpu,
-            StreamRole::A,
-            AccessKind::ExclPrefetch,
-            line,
-            AccessOutcome::PrefetchIssued,
-        );
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.mshr_alloc(now, node_id, line);
-        }
+        let outcome = AccessOutcome::PrefetchIssued;
+        self.emit(now, MemObs::Access { cpu, role, kind, line, outcome });
+        self.emit(now, MemObs::MshrAlloc { node: node_id, line });
         self.issue_txn(
             now,
             node_id,
@@ -800,14 +785,10 @@ impl MemSystem {
                 let home = msg.dst;
                 match self.sync.handle(op, cpu, token) {
                     SyncOutcome::Queued => {
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.sync_event(now, cpu, op, 0);
-                        }
+                        self.emit(now, MemObs::Sync { cpu, op, granted: 0 });
                     }
                     SyncOutcome::Grant(grants) => {
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.sync_event(now, cpu, op, grants.len() as u32);
-                        }
+                        self.emit(now, MemObs::Sync { cpu, op, granted: grants.len() as u32 });
                         for (gcpu, gtoken) in grants {
                             let gm = Msg {
                                 src: home,
@@ -846,7 +827,7 @@ impl MemSystem {
         // Snapshot the pre-transition state only when someone is watching:
         // the clone is potentially allocating (spilled sharer sets), so the
         // default path must not pay for it.
-        let before = self.tracer.is_some().then(|| (dl.perm.clone(), dl.ovfl));
+        let before = (!self.tracers.is_empty()).then(|| (dl.perm.clone(), dl.ovfl));
         // Dissolve the message so the kind can be matched by move (no
         // per-message clone on the directory hot path); src/dst stay
         // available for the one arm that re-queues the message.
@@ -878,9 +859,8 @@ impl MemSystem {
                         self.stats.interventions += 1;
                         let migratory_grant =
                             self.migratory_opt && dl.migratory() && !role.is_a();
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.intervention(now, line, owner, from, migratory_grant);
-                        }
+                        let excl = migratory_grant;
+                        self.emit(now, MemObs::Intervention { line, owner, requester: from, excl });
                         if migratory_grant {
                             // Migratory optimization: the reader will write
                             // next, so transfer ownership outright and save
@@ -986,9 +966,7 @@ impl MemSystem {
                                 if to == from {
                                     continue;
                                 }
-                                if let Some(t) = self.tracer.as_deref_mut() {
-                                    t.invalidation(now, line, to);
-                                }
+                                self.emit(now, MemObs::Invalidation { line, target: to });
                                 let inv =
                                     Msg { src: home, dst: to, kind: MsgKind::Inv { line, to } };
                                 self.route(now, inv, sched);
@@ -998,9 +976,7 @@ impl MemSystem {
                                 if to == from {
                                     continue;
                                 }
-                                if let Some(t) = self.tracer.as_deref_mut() {
-                                    t.invalidation(now, line, to);
-                                }
+                                self.emit(now, MemObs::Invalidation { line, target: to });
                                 let inv =
                                     Msg { src: home, dst: to, kind: MsgKind::Inv { line, to } };
                                 self.route(now, inv, sched);
@@ -1015,9 +991,8 @@ impl MemSystem {
                     Perm::Excl(owner) if *owner != from => {
                         let owner = *owner;
                         self.stats.interventions += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.intervention(now, line, owner, from, true);
-                        }
+                        let excl = true;
+                        self.emit(now, MemObs::Intervention { line, owner, requester: from, excl });
                         dl.busy = Some(PendingTxn {
                             requester: from,
                             excl: true,
@@ -1055,10 +1030,8 @@ impl MemSystem {
                         // not blocked and the sharing list is untouched.
                         self.stats.transparent_replies += 1;
                         self.stats.si_hints += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_reply(now, line, from);
-                            t.si_hint(now, line, owner);
-                        }
+                        self.emit(now, MemObs::TransparentReply { line, from });
+                        self.emit(now, MemObs::SiHint { line, owner });
                         let reply =
                             Msg { src: home, dst: from, kind: MsgKind::TransReply { line, to: from } };
                         let done = self.mem_access(home, now);
@@ -1071,9 +1044,7 @@ impl MemSystem {
                         // Transparent request from the believed owner:
                         // upgrade to a normal exclusive re-grant.
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
-                        }
+                        self.emit(now, MemObs::TransparentUpgrade { line, from });
                         dl.busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, true, false);
                         let done = self.mem_access(home, now);
@@ -1082,9 +1053,7 @@ impl MemSystem {
                     Perm::Uncached => {
                         // Upgraded to a normal (shared) load (§4.1).
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
-                        }
+                        self.emit(now, MemObs::TransparentUpgrade { line, from });
                         dl.perm = Perm::Shared(SharerSet::single(from));
                         dl.busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
@@ -1093,9 +1062,7 @@ impl MemSystem {
                     }
                     Perm::Shared(s) => {
                         self.stats.upgraded_replies += 1;
-                        if let Some(t) = self.tracer.as_deref_mut() {
-                            t.transparent_upgrade(now, line, from);
-                        }
+                        self.emit(now, MemObs::TransparentUpgrade { line, from });
                         track_sharer(self.scheme, s, &mut dl.ovfl, from);
                         dl.busy = Some(mem_wait(from, false));
                         let reply = data_reply(home, from, line, false, false);
@@ -1106,9 +1073,7 @@ impl MemSystem {
             }
             MsgKind::WritebackDirty { from, .. } => {
                 self.stats.writebacks += 1;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.writeback(now, line, from);
-                }
+                self.emit(now, MemObs::Writeback { line, from });
                 // The line's data is written to memory (consumes bank
                 // bandwidth even though nobody waits on it).
                 self.mem_write(home, now);
@@ -1227,9 +1192,7 @@ impl MemSystem {
             if dl.perm != perm_before || dl.ovfl != ovfl_before {
                 let from = trace_perm(&perm_before, ovfl_before);
                 let to = trace_perm(&dl.perm, dl.ovfl);
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.dir_transition(now, line, &from, &to, msg_src);
-                }
+                self.emit(now, MemObs::DirTransition { line, from, to, requester: msg_src });
             }
         }
         self.dir.insert(line, dl);
@@ -1358,9 +1321,7 @@ impl MemSystem {
             Some(m) => m,
             None => return, // stale reply; drop
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fill(now, node, line, excl, false);
-        }
+        self.emit(now, MemObs::Fill { node, line, excl, transparent: false });
         // A coherent fill supersedes everything outstanding for the line,
         // including a transparent request the directory upgraded (its
         // duplicate reply, if any, is dropped against the missing MSHR).
@@ -1474,9 +1435,7 @@ impl MemSystem {
             self.nodes[n].l2.mshrs.insert(line, mshr);
         } else {
             debug_assert!(mshr.store_waiters.is_empty(), "store waiters dropped at fill");
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_free(now, node, line);
-            }
+            self.emit(now, MemObs::MshrFree { node, line });
         }
     }
 
@@ -1495,9 +1454,7 @@ impl MemSystem {
             Some(m) => m,
             None => return,
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fill(now, node, line, false, true);
-        }
+        self.emit(now, MemObs::Fill { node, line, excl: false, transparent: true });
         mshr.trans_pending = false;
         let resident = self.nodes[n].l2.get(line).is_some();
         let mut victim = None;
@@ -1528,9 +1485,7 @@ impl MemSystem {
                 mshr.waiters.is_empty() && mshr.store_waiters.is_empty(),
                 "coherent waiters dropped at transparent fill"
             );
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.mshr_free(now, node, line);
-            }
+            self.emit(now, MemObs::MshrFree { node, line });
         }
     }
 
@@ -1566,9 +1521,8 @@ impl MemSystem {
         } else {
             MsgKind::ReplHint { line: entry.line, from: node }
         };
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.l2_evict(now, node, entry.line, dirty_wb, entry.transparent);
-        }
+        let (line, transparent) = (entry.line, entry.transparent);
+        self.emit(now, MemObs::L2Evict { node, line, dirty: dirty_wb, transparent });
         self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
     }
 
@@ -1586,9 +1540,7 @@ impl MemSystem {
             if let Some(op) = entry.open_excl.take() {
                 self.stats.class.close(false, op);
             }
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.l2_invalidate(now, node, line);
-            }
+            self.emit(now, MemObs::L2Invalidate { node, line });
         }
     }
 
@@ -1605,7 +1557,7 @@ impl MemSystem {
         // `was_excl` can be false here: a self-invalidation downgrade may
         // already have demoted the copy while its `DowngradeWb` races this
         // intervention to the home. The data reply proceeds either way;
-        // only the downgrade observation is conditional (the hook reports
+        // only the downgrade observation is conditional (it reports
         // transitions out of exclusivity, and there is none to report).
         let (have, was_excl) = {
             let st = &mut self.nodes[n];
@@ -1625,9 +1577,7 @@ impl MemSystem {
         };
         if have {
             if was_excl {
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.l2_downgrade(now, node, line);
-                }
+                self.emit(now, MemObs::L2Downgrade { node, line });
             }
             let data = Msg {
                 src: node,
@@ -1712,9 +1662,7 @@ impl MemSystem {
             };
             self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
             self.stats.si_invalidations += 1;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.si_action(now, node, line, true);
-            }
+            self.emit(now, MemObs::SiAction { node, line, invalidated: true });
         } else {
             // Producer-consumer: write back and downgrade to shared.
             {
@@ -1728,15 +1676,11 @@ impl MemSystem {
                     entry.si_flag = false;
                 }
             }
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.l2_downgrade(now, node, line);
-            }
+            self.emit(now, MemObs::L2Downgrade { node, line });
             let kind = MsgKind::DowngradeWb { line, from: node };
             self.send_from_l2(now, Msg { src: node, dst: home, kind }, sched);
             self.stats.si_downgrades += 1;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.si_action(now, node, line, false);
-            }
+            self.emit(now, MemObs::SiAction { node, line, invalidated: false });
         }
         // Rate limit: one line per si_interval cycles.
         let next = now + self.si_interval;
