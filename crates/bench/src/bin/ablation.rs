@@ -143,5 +143,4 @@ fn main() {
             .collect();
         println!("{:<12} {:>10} {:>10} {:>10}", w.name(), cells[0], cells[1], cells[2]);
     }
-    r.export_host_profile(&cli);
 }

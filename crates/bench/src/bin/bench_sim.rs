@@ -7,8 +7,7 @@
 //! reported by the figure binaries and EXPERIMENTS.md.
 //!
 //! Usage: `bench_sim [--out PATH] [--iters N]
-//!                   [--compare BASELINE [--tolerance PCT]]
-//!                   [--host-profile [DIR]] [--quiet]`
+//!                   [--compare BASELINE [--tolerance PCT]] [--quiet]`
 //!   --out PATH        output file (default: BENCH_sim.json; not written in
 //!                     compare mode unless given explicitly)
 //!   --iters N         timed iterations per run; minimum wall time is kept
@@ -21,23 +20,39 @@
 //!                     informational, not a like-for-like gate)
 //!   --tolerance PCT   allowed events/sec regression in percent for
 //!                     `--compare` (default: 15)
-//!   --host-profile [DIR]  do one extra untimed profiled run per matrix
-//!                     case (timed runs stay unprofiled), attach a "host"
-//!                     summary to each JSON row, and — when DIR is given —
-//!                     export the full profiles as DIR/host_profile.json
 //!   --quiet           silence progress narration on stderr
 //!
-//! Profiled runs are bit-identical to unprofiled ones, so the extra run
-//! never perturbs the recorded simulated numbers.
+//! A bad argument prints usage and exits 2.
 
 use std::time::Instant;
 
-use slipstream_bench::write_host_profile_json;
-use slipstream_core::{
-    host_note, run, run_full, ArSyncMode, ExecMode, HostProfile, HostProfileData, RunResult,
-    RunSpec, SlipstreamConfig, Workload,
-};
+use slipstream_bench::{flag_num, flag_value, host_note, known_flags, set_quiet};
+use slipstream_core::{run, ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload};
 use slipstream_workloads::quick_suite;
+
+const USAGE: &str =
+    "bench_sim [--out PATH] [--iters N] [--compare BASELINE [--tolerance PCT]] [--quiet]";
+
+struct Args {
+    out_path: Option<String>,
+    iters: u64,
+    compare_path: Option<String>,
+    tolerance_pct: f64,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    known_flags(args, &["--quiet"], &["--out", "--iters", "--compare", "--tolerance"])?;
+    let tolerance_pct = match flag_value(args, "--tolerance")? {
+        None => 15.0,
+        Some(v) => v.parse().map_err(|_| format!("--tolerance requires a number, got {v}"))?,
+    };
+    Ok(Args {
+        out_path: flag_value(args, "--out")?.cloned(),
+        iters: flag_num(args, "--iters", 3)?,
+        compare_path: flag_value(args, "--compare")?.cloned(),
+        tolerance_pct,
+    })
+}
 
 struct Case {
     name: String,
@@ -54,8 +69,6 @@ struct Measured {
     wall_s: f64,
     events: u64,
     exec_cycles: u64,
-    /// Host profile from one extra untimed run (`--host-profile` only).
-    profile: Option<HostProfileData>,
 }
 
 /// The benchmark matrix: every quick-suite workload under every execution
@@ -87,20 +100,10 @@ fn cases() -> Vec<Case> {
     out
 }
 
-/// One extra run of `spec` with host profiling on. Profiled runs are
-/// bit-identical to unprofiled ones; this exists purely to collect the
-/// host-side telemetry.
-fn profile_run(w: &dyn Workload, spec: &RunSpec) -> HostProfileData {
-    let spec = spec.clone().with_host_profile(HostProfile::enabled());
-    run_full(w, &spec).profile.expect("profiling was enabled")
-}
-
 /// Run one case `iters` times (after an untimed warm-up) and keep the
 /// fastest wall time; the simulator is deterministic, so every iteration
-/// returns the identical `RunResult`. With `profile` set, one extra
-/// untimed profiled run collects host telemetry (timed runs stay
-/// unprofiled so the baseline numbers measure the production path).
-fn measure(case: &Case, iters: u32, profile: bool) -> Measured {
+/// returns the identical `RunResult`.
+fn measure(case: &Case, iters: u64) -> Measured {
     let mut result: RunResult = run(case.workload.as_ref(), &case.spec);
     let mut wall_s = f64::INFINITY;
     for _ in 0..iters.max(1) {
@@ -116,7 +119,6 @@ fn measure(case: &Case, iters: u32, profile: bool) -> Measured {
         wall_s,
         events: result.host_events,
         exec_cycles: result.exec_cycles,
-        profile: profile.then(|| profile_run(case.workload.as_ref(), &case.spec)),
     }
 }
 
@@ -237,57 +239,18 @@ fn compare(measured: &[Measured], baseline: &str, tolerance_pct: f64, host_cpus:
 }
 
 fn main() {
-    let mut out_path: Option<String> = None;
-    let mut iters: u32 = 3;
-    let mut compare_path: Option<String> = None;
-    let mut tolerance_pct: f64 = 15.0;
-    let mut host_profile = false;
-    let mut host_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
-            "--iters" => {
-                iters = args
-                    .next()
-                    .expect("--iters needs a count")
-                    .parse()
-                    .expect("--iters needs an integer")
-            }
-            "--compare" => {
-                compare_path = Some(args.next().expect("--compare needs a baseline path"))
-            }
-            "--tolerance" => {
-                tolerance_pct = args
-                    .next()
-                    .expect("--tolerance needs a percentage")
-                    .parse()
-                    .expect("--tolerance needs a number")
-            }
-            "--host-profile" => {
-                host_profile = true;
-                // The export directory is optional: a following token that
-                // isn't a flag is the destination.
-                if args.peek().is_some_and(|v| !v.starts_with('-')) {
-                    host_dir = args.next();
-                }
-            }
-            "--quiet" => slipstream_core::telemetry::set_quiet(true),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: bench_sim [--out PATH] [--iters N] \
-                     [--compare BASELINE [--tolerance PCT]] [--host-profile [DIR]] [--quiet]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { out_path, iters, compare_path, tolerance_pct } =
+        parse_args(&args).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: {USAGE}");
+            std::process::exit(2)
+        });
+    set_quiet(args.iter().any(|a| a == "--quiet"));
 
     let measured: Vec<Measured> = cases()
         .iter()
         .map(|c| {
-            let m = measure(c, iters, host_profile);
+            let m = measure(c, iters);
             host_note!(
                 "  [{:<32} {:>9.3} ms  {:>9} events  {:>12.0} events/s]",
                 m.name,
@@ -303,22 +266,6 @@ fn main() {
     let total_events: u64 = measured.iter().map(|m| m.events).sum();
     let host_cpus =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    // Export the collected host profiles before any compare-mode early
-    // exit.
-    let named: Vec<(String, &HostProfileData)> = measured
-        .iter()
-        .filter_map(|m| m.profile.as_ref().map(|p| (m.name.clone(), p)))
-        .collect();
-    if host_profile {
-        for (name, p) in &named {
-            host_note!("host profile {name}:\n{}", p.render_table());
-        }
-    }
-    if let Some(dir) = &host_dir {
-        let path = write_host_profile_json(dir, &named);
-        eprintln!("wrote {path} ({} runs)", named.len());
-    }
 
     if let Some(baseline_path) = &compare_path {
         let baseline = std::fs::read_to_string(baseline_path)
@@ -345,16 +292,10 @@ fn main() {
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
-        // Host summary from the extra profiled run (--host-profile). Key
-        // names stay distinct from the gate's "name"/"events_per_sec"
-        // scan, so the summary can never enter the regression comparison.
-        let host = m.profile.as_ref().map_or_else(String::new, |p| {
-            format!(", \"host\": {{\"busy_s\": {:.6}}}", p.phases.simulate_s)
-        });
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"workload\": \"{}\", \"mode\": \"{}\", \
              \"nodes\": {}, \"wall_s\": {:.6}, \"events\": {}, \
-             \"events_per_sec\": {:.1}, \"exec_cycles\": {}{}}}{}\n",
+             \"events_per_sec\": {:.1}, \"exec_cycles\": {}}}{}\n",
             m.name,
             m.workload,
             m.mode,
@@ -363,7 +304,6 @@ fn main() {
             m.events,
             events_per_sec(m.events, m.wall_s),
             m.exec_cycles,
-            host,
             if i + 1 < measured.len() { "," } else { "" }
         ));
     }

@@ -53,5 +53,4 @@ fn main() {
             best / si.exec_cycles as f64
         );
     }
-    r.export_host_profile(&cli);
 }

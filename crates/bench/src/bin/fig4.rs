@@ -32,5 +32,4 @@ fn main() {
             .collect();
         print_row(w.name(), &cells);
     }
-    r.export_host_profile(&cli);
 }

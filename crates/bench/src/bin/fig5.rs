@@ -48,5 +48,4 @@ fn main() {
             print_row(ar.label(), &cells);
         }
     }
-    r.export_host_profile(&cli);
 }

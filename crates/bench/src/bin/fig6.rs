@@ -57,5 +57,4 @@ fn main() {
         row("R: R-stream", pct(&best.avg_breakdown(StreamRole::R), base));
         row("A: A-stream", pct(&best.avg_breakdown(StreamRole::A), base));
     }
-    r.export_host_profile(&cli);
 }

@@ -49,5 +49,4 @@ fn main() {
             row(label, &excl);
         }
     }
-    r.export_host_profile(&cli);
 }

@@ -44,5 +44,4 @@ fn main() {
             total - trans
         );
     }
-    r.export_host_profile(&cli);
 }

@@ -107,5 +107,4 @@ fn main() {
             100.0 * (l.exec_cycles as f64 / fm.exec_cycles as f64 - 1.0),
         );
     }
-    r.export_host_profile(&cli);
 }

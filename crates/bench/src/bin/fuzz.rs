@@ -34,15 +34,18 @@
 //!   --json PATH  write a machine-readable corpus report
 //!   --quiet      silence per-program progress on stderr
 //!
-//! Every failure is reported; the exit code is nonzero if any stage
-//! failed. Reproduce one entry with `--seed <S> --count <i+1>`.
+//! An explicit `--count` or `--mutants` wins over `--quick`'s sizing. A
+//! bad argument prints usage and exits 2. Every failure is reported; the
+//! exit code is 1 if any stage failed. Reproduce one entry with
+//! `--seed <S> --count <i+1>`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use slipstream_bench::{flag_num, flag_value, known_flags, positive};
 use slipstream_check::{
-    analyze_tasks, cross_validate_with, instantiate_workload, run_checked, verify_contract,
-    verify_task_set, AnalysisConfig, Severity, ValidationReport,
+    cross_validate_with, instantiate_workload, run_checked, verify_contract, verify_task_set,
+    AnalysisConfig, Severity, ValidationReport,
 };
 use slipstream_core::{
     run, ArSyncMode, ExecMode, MachineConfig, RunSpec, SlipstreamConfig, Workload,
@@ -59,46 +62,34 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: CORPUS_SEED,
-        count: CORPUS_COUNT,
-        nodes: 2,
-        mutants: 3 * Mutation::ALL.len(),
-        json: None,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--seed" => args.seed = parse_u64(&val("--seed")),
-            "--count" => args.count = val("--count").parse().expect("--count"),
-            "--nodes" => args.nodes = val("--nodes").parse().expect("--nodes"),
-            "--mutants" => args.mutants = val("--mutants").parse().expect("--mutants"),
-            "--quick" => {
-                args.count = 36;
-                args.mutants = Mutation::ALL.len();
-            }
-            "--json" => args.json = Some(val("--json")),
-            "--quiet" => args.quiet = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
+const USAGE: &str =
+    "fuzz [--seed S] [--count N] [--nodes N] [--mutants M] [--quick] [--json PATH] [--quiet]";
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    known_flags(
+        args,
+        &["--quick", "--quiet"],
+        &["--seed", "--count", "--nodes", "--mutants", "--json"],
+    )?;
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let (count, rounds) = if has("--quick") { (36, 1) } else { (CORPUS_COUNT, 3) };
+    Ok(Args {
+        seed: flag_value(args, "--seed")?.map_or(Ok(CORPUS_SEED), |s| parse_seed(s))?,
+        count: flag_num(args, "--count", count as u64)? as usize,
+        nodes: flag_value(args, "--nodes")?.map_or(Ok(2), |n| positive("--nodes", n))?,
+        mutants: flag_num(args, "--mutants", (rounds * Mutation::ALL.len()) as u64)? as usize,
+        json: flag_value(args, "--json")?.cloned(),
+        quiet: has("--quiet"),
+    })
 }
 
-fn parse_u64(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("hex seed")
-    } else {
-        s.parse().expect("seed")
+/// A seed in decimal or `0x` hex.
+fn parse_seed(s: &str) -> Result<u64, String> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
+    .map_err(|_| format!("--seed requires a decimal or 0x-hex number, got {s}"))
 }
 
 /// The four execution modes of the benchmark matrix.
@@ -192,7 +183,11 @@ fn validation_stage(
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {USAGE}");
+        std::process::exit(2)
+    });
     let cfg = MachineConfig::with_nodes(args.nodes);
     let specs = mode_specs(args.nodes);
     let mut failures: Vec<String> = Vec::new();
@@ -240,29 +235,21 @@ fn main() -> ExitCode {
 
     let mut mutants_caught = 0usize;
     let mut mutant_rows: Vec<(String, &'static str, &'static str, bool)> = Vec::new();
+    let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     for i in 0..args.mutants {
         let w = mutant_entry(args.seed, i);
         let m = w.mutation().expect("mutant");
         let rule = m.expected_rule();
         let ntasks = args.nodes.max(2) as usize * 2;
-        let set = instantiate_workload(&w, cfg.page_bytes, ntasks, m.needs_slipstream());
-        let mut diags = verify_task_set(&set);
-        diags.extend(verify_contract(&set.r, &w.contract(ntasks)));
-        // Class-shifting mutations are race-free; only the analyzer's SP*
-        // lints can see them, so its diagnostics join the kill pipeline.
-        let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
-        diags.extend(analyze_tasks(&set.layout, &set.r, &acfg).diagnostics);
-        let severity = m.expected_severity();
-        let caught = diags.iter().any(|d| d.rule == rule && d.severity == severity);
-        if caught {
-            mutants_caught += 1;
-        } else {
-            failures.push(format!(
-                "mutant {}: expected {} to fire, got {:?}",
+        let kill = w.kill_check(cfg.page_bytes, ntasks, &acfg);
+        let caught = kill.is_ok();
+        match kill {
+            Ok(()) => mutants_caught += 1,
+            Err(fired) => failures.push(format!(
+                "mutant {}: expected {} to fire, got {fired:?}",
                 w.name(),
-                rule.id(),
-                diags.iter().map(|d| d.rule.id()).collect::<Vec<_>>()
-            ));
+                rule.id()
+            )),
         }
         if !args.quiet {
             eprintln!(

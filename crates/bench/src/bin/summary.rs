@@ -56,5 +56,4 @@ fn main() {
             100.0 * (best / si.exec_cycles as f64 - 1.0),
         );
     }
-    r.export_host_profile(&cli);
 }

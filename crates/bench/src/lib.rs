@@ -12,34 +12,58 @@
 //! * `--check` — attach the coherence invariant checker
 //!   ([`slipstream_check::ProtocolChecker`]) to every run; a violation
 //!   fails the figure instead of rendering suspect numbers.
-//! * `--host-profile [DIR]` — profile the simulator itself
-//!   ([`slipstream_core::telemetry`]): per-run host profiles are printed
-//!   as tables on stderr and, when `DIR` is given, exported as
-//!   `DIR/host_profile.json`. Results are bit-identical with profiling
-//!   on or off.
-//! * `--heartbeat SECS` — periodic progress line per run on stderr
-//!   (events/s, elapsed); implies profile collection (not export).
-//! * `--quiet` — silence progress narration on stderr (per-run lines,
-//!   heartbeat); figure output and errors still print.
+//! * `--quiet` — silence progress narration on stderr (per-run lines);
+//!   figure output and errors still print.
+//!
+//! An unknown flag or benchmark, a missing value, or a node count or
+//! `--jobs` that is not a positive integer prints usage and exits 2.
 //!
 //! The binaries follow one pattern: declare the full grid of runs as a
 //! [`Plan`], execute it across cores with [`Runner::prewarm`], then render
 //! the figure from the warm cache.
 
 use std::collections::HashMap;
+use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use slipstream_core::{
-    host_note, telemetry, ArSyncMode, ExecMode, HostProfile, HostProfileData, RunResult, RunSpec,
-    SlipstreamConfig, Workload,
-};
+use slipstream_core::{ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload};
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
 mod par;
 
 pub use par::{Plan, RunKey};
 
+static QUIET: AtomicBool = AtomicBool::new(false);
+
+/// Silences [`host_note!`], the progress narration on stderr (the
+/// executor's per-run lines, `bench_sim`'s per-case lines). Errors and
+/// reports still print, so machine-readable pipelines stay clean.
+pub fn set_quiet(quiet: bool) {
+    QUIET.store(quiet, Ordering::Relaxed);
+}
+
+/// Whether [`set_quiet`] has silenced progress notes.
+pub fn is_quiet() -> bool {
+    QUIET.load(Ordering::Relaxed)
+}
+
+/// `eprintln!` for progress narration, silenced by [`set_quiet`].
+/// Formatting is skipped entirely when quiet.
+#[macro_export]
+macro_rules! host_note {
+    ($($t:tt)*) => {
+        if !$crate::is_quiet() {
+            eprintln!($($t)*);
+        }
+    };
+}
+
+/// Usage line of the figure binaries.
+const CLI_USAGE: &str =
+    "FIGURE [--quick] [--bench NAME] [--nodes N[,N...]] [--jobs N] [--check] [--quiet]";
+
 /// Parsed command-line options shared by every figure binary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cli {
     /// Use reduced problem sizes.
     pub quick: bool,
@@ -51,77 +75,47 @@ pub struct Cli {
     pub jobs: Option<usize>,
     /// Run every simulation with the protocol invariant checker attached.
     pub check: bool,
-    /// Collect host profiles for every run (`--host-profile`).
-    pub host_profile: bool,
-    /// Directory to write `host_profile.json` into (the optional value of
-    /// `--host-profile [DIR]`).
-    pub host_profile_dir: Option<String>,
-    /// Heartbeat period in seconds (`--heartbeat SECS`, 0 = off). Implies
-    /// profile collection, not export.
-    pub heartbeat: f64,
     /// Silence progress narration on stderr (`--quiet`).
     pub quiet: bool,
 }
 
 impl Cli {
-    /// Parses `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on malformed arguments.
+    /// Parses `std::env::args()` and applies `--quiet`; on a usage error,
+    /// prints usage and exits 2 ([`exit_usage`]).
     pub fn parse() -> Cli {
-        let mut cli = Cli::default();
-        let mut args = std::env::args().skip(1).peekable();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => cli.quick = true,
-                "--bench" => {
-                    cli.only = Some(args.next().expect("--bench needs a name"));
-                }
-                "--nodes" => {
-                    let v = args.next().expect("--nodes needs a list, e.g. 2,4,8,16");
-                    cli.nodes = Some(
-                        v.split(',')
-                            .map(|s| s.parse().expect("node counts are integers"))
-                            .collect(),
-                    );
-                }
-                "--jobs" => {
-                    let v = args.next().expect("--jobs needs a thread count");
-                    cli.jobs = Some(v.parse().expect("--jobs takes an integer"));
-                }
-                "--check" => cli.check = true,
-                "--host-profile" => {
-                    cli.host_profile = true;
-                    // The directory operand is optional: a following token
-                    // that isn't a flag is the export destination.
-                    if args.peek().is_some_and(|v| !v.starts_with('-')) {
-                        cli.host_profile_dir = args.next();
-                    }
-                }
-                "--heartbeat" => {
-                    let v = args.next().expect("--heartbeat needs a period in seconds");
-                    cli.heartbeat = v.parse().expect("--heartbeat takes a number of seconds");
-                }
-                "--quiet" => cli.quiet = true,
-                other => panic!(
-                    "unknown flag {other}; supported: --quick --bench NAME --nodes N,N --jobs N \
-                     --check --host-profile [DIR] --heartbeat SECS --quiet"
-                ),
-            }
-        }
-        telemetry::set_quiet(cli.quiet);
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let cli = Cli::from_args(&args).unwrap_or_else(|e| exit_usage(CLI_USAGE, &e));
+        set_quiet(cli.quiet);
         cli
     }
 
-    /// The host-profiling spec the flags ask for (`HostProfile::default()`
-    /// — off — when neither `--host-profile` nor `--heartbeat` is given).
-    pub fn host_spec(&self) -> HostProfile {
-        HostProfile {
-            enabled: self.host_profile || self.heartbeat > 0.0,
-            heartbeat_secs: self.heartbeat,
-            expected_events: 0,
-        }
+    /// Parses `args` (program name excluded).
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag or benchmark, a flag missing its value, or a node
+    /// count or `--jobs` that is not a positive integer.
+    fn from_args(args: &[String]) -> Result<Cli, String> {
+        known_flags(args, &["--quick", "--check", "--quiet"], &["--bench", "--nodes", "--jobs"])?;
+        let only = match flag_value(args, "--bench")? {
+            Some(name) if by_name(name, true).is_none() => {
+                return Err(format!("unknown benchmark {name}"))
+            }
+            name => name.cloned(),
+        };
+        let nodes = flag_value(args, "--nodes")?
+            .map(|list| list.split(',').map(|n| positive("--nodes", n)).collect())
+            .transpose()?;
+        let jobs = flag_value(args, "--jobs")?.map(|n| positive("--jobs", n)).transpose()?;
+        let has = |flag: &str| args.iter().any(|a| a == flag);
+        Ok(Cli {
+            quick: has("--quick"),
+            only,
+            nodes,
+            jobs,
+            check: has("--check"),
+            quiet: has("--quiet"),
+        })
     }
 
     /// The benchmark suite selected by the flags.
@@ -176,11 +170,7 @@ impl RunArgs {
             args.get(i).filter(|a| !a.starts_with("--")).ok_or(format!("missing {what}"))
         };
         let bench = positional(0, "<BENCH>")?;
-        let nodes = positional(1, "<NODES>")?;
-        let nodes: u16 = match nodes.parse() {
-            Ok(n) if n > 0 => n,
-            _ => return Err(format!("<NODES> must be a positive integer, got {nodes}")),
-        };
+        let nodes = positive("<NODES>", positional(1, "<NODES>")?)?;
         let mode = match positional(2, "<single|double|slip>")?.as_str() {
             "single" => ExecMode::Single,
             "double" => ExecMode::Double,
@@ -230,6 +220,37 @@ pub fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String
     }
 }
 
+/// Checks that every argument is one of `switches`, or one of `valued`
+/// followed by its value, so a misspelt flag is never silently ignored.
+///
+/// # Errors
+///
+/// The first argument that is neither.
+pub fn known_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if valued.contains(&a.as_str()) {
+            rest.next();
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown argument {a}"));
+        }
+    }
+    Ok(())
+}
+
+/// `value` parsed as a positive integer of the unsigned type `T`.
+///
+/// # Errors
+///
+/// `value` is zero, out of range or not a number; the message names
+/// `what`.
+pub fn positive<T: FromStr + Default + PartialEq>(what: &str, value: &str) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(format!("{what} must be a positive integer, got {value}")),
+    }
+}
+
 /// Prints `err`, then `usage` and the benchmark names, on stderr and exits
 /// with status 2, a usage error (as in the `check` binary).
 pub fn exit_usage(usage: &str, err: &str) -> ! {
@@ -244,9 +265,6 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
 pub struct Runner {
     cache: HashMap<RunKey, RunResult>,
     check: bool,
-    host: HostProfile,
-    /// Host profiles in first-run order (one per unique profiled run).
-    profiles: Vec<(RunKey, HostProfileData)>,
 }
 
 impl Runner {
@@ -255,30 +273,11 @@ impl Runner {
         Runner::default()
     }
 
-    /// Creates a runner honouring the CLI's `--check` flag (every
+    /// Creates a runner honouring the CLI's `--check` flag: every
     /// simulation, prewarmed or on-demand, then runs with the protocol
-    /// invariant checker attached, and a violation aborts the figure) and
-    /// its `--host-profile`/`--heartbeat` flags (host profiles are collected
-    /// per run; see [`Runner::export_host_profile`]).
+    /// invariant checker attached, and a violation aborts the figure.
     pub fn for_cli(cli: &Cli) -> Runner {
-        Runner {
-            cache: HashMap::new(),
-            check: cli.check,
-            host: cli.host_spec(),
-            profiles: Vec::new(),
-        }
-    }
-
-    /// The spec as this runner will actually execute it: the runner-wide
-    /// host profiling applied unless the spec sets its own. Profiling is
-    /// not part of [`RunKey`], so prewarmed cells stay cache hits for the
-    /// reporting pass.
-    fn effective(&self, spec: &RunSpec) -> RunSpec {
-        let mut spec = spec.clone();
-        if !spec.host.is_on() {
-            spec.host = self.host.clone();
-        }
-        spec
+        Runner { cache: HashMap::new(), check: cli.check }
     }
 
     /// Executes `plan` across `jobs` threads and absorbs every result into
@@ -286,27 +285,20 @@ impl Runner {
     /// cache hits, so the reporting pass stays strictly serial and ordered
     /// while the simulations use all cores.
     pub fn prewarm(&mut self, plan: &Plan<'_>, jobs: usize) {
-        let plan = plan.with_host(&self.host);
-        let outs = plan.execute_collect(jobs, self.check);
-        for (key, (result, profile)) in plan.keys().zip(outs) {
-            if let Some(p) = profile {
-                if !self.cache.contains_key(&key) {
-                    self.profiles.push((key.clone(), p));
-                }
-            }
+        let results = plan.execute_opts(jobs, self.check);
+        for (key, result) in plan.keys().zip(results) {
             self.cache.entry(key).or_insert(result);
         }
     }
 
     /// Runs (or returns the cached result of) `workload` under `spec`.
     pub fn run(&mut self, workload: &dyn Workload, spec: &RunSpec) -> RunResult {
-        let spec = self.effective(spec);
-        let key = RunKey::new(workload, &spec);
+        let key = RunKey::new(workload, spec);
         if let Some(r) = self.cache.get(&key) {
             return r.clone();
         }
         let started = std::time::Instant::now();
-        let (r, profile) = par::run_cell_full(workload, &spec, self.check);
+        let r = par::run_cell(workload, spec, self.check);
         host_note!(
             "  [ran {} {} @{} CMPs in {:.1}s: {} cycles]",
             workload.name(),
@@ -315,45 +307,8 @@ impl Runner {
             started.elapsed().as_secs_f64(),
             r.exec_cycles
         );
-        if let Some(p) = profile {
-            self.profiles.push((key.clone(), p));
-        }
         self.cache.insert(key, r.clone());
         r
-    }
-
-    /// Display name of a profiled run, e.g. `SOR_slipstream_8n`.
-    fn profile_name(key: &RunKey) -> String {
-        format!("{}_{}_{}n", key.name, key.mode, key.nodes)
-    }
-
-    /// Host profiles collected so far, with display names, in first-run
-    /// order.
-    pub fn host_profiles(&self) -> Vec<(String, &HostProfileData)> {
-        self.profiles.iter().map(|(k, p)| (Runner::profile_name(k), p)).collect()
-    }
-
-    /// Renders collected host profiles (tables on stderr, honours
-    /// `--quiet`) and, when `--host-profile DIR` was given, writes
-    /// `DIR/host_profile.json`. Call once after the figure's reporting
-    /// pass; a no-op when profiling was off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the export directory can't be created or written.
-    pub fn export_host_profile(&self, cli: &Cli) {
-        if self.profiles.is_empty() {
-            return;
-        }
-        for (key, p) in &self.profiles {
-            host_note!("host profile {}:\n{}", Runner::profile_name(key), p.render_table());
-        }
-        let Some(dir) = &cli.host_profile_dir else {
-            return;
-        };
-        let named = self.host_profiles();
-        let path = write_host_profile_json(dir, &named);
-        eprintln!("wrote {path} ({} runs)", named.len());
     }
 
     /// Single-mode baseline at `nodes` CMPs.
@@ -378,34 +333,6 @@ impl Runner {
         let d = self.double(w, nodes).exec_cycles;
         s.min(d)
     }
-}
-
-/// Writes `DIR/host_profile.json` from named host profiles — the
-/// versioned export ([`slipstream_core::HOST_PROFILE_SCHEMA`]) shared by
-/// the figure binaries (via [`Runner::export_host_profile`]) and
-/// `bench_sim`. Returns the path written.
-///
-/// # Panics
-///
-/// Panics if the directory can't be created or the file can't be written.
-pub fn write_host_profile_json(dir: &str, runs: &[(String, &HostProfileData)]) -> String {
-    std::fs::create_dir_all(dir).expect("create host-profile directory");
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|(name, p)| {
-            // Splice a name field into the profile's flat JSON object.
-            let body = p.to_json();
-            format!("{{\"name\":\"{name}\",{}", &body[1..])
-        })
-        .collect();
-    let json = format!(
-        "{{\"schema\":\"{}\",\"runs\":[{}]}}\n",
-        slipstream_core::HOST_PROFILE_SCHEMA,
-        rows.join(",")
-    );
-    let path = format!("{dir}/host_profile.json");
-    std::fs::write(&path, json).expect("write host_profile.json");
-    path
 }
 
 /// A workload re-labelled with a distinct name.
@@ -503,5 +430,40 @@ mod tests {
         assert!(parse_err("SOR 4 --quick").contains("missing <single|double|slip>"));
         assert!(parse_err("").contains("missing <BENCH>"));
         assert!(parse_err("NOPE 4 slip").contains("unknown benchmark NOPE"));
+    }
+
+    fn cli_err(line: &str) -> String {
+        match Cli::from_args(&args(line)) {
+            Ok(_) => panic!("`{line}` parsed"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn cli_parses_the_figure_flags() {
+        let cli = Cli::from_args(&args("--quick --bench cg --nodes 2,4 --jobs 3 --check --quiet"))
+            .unwrap();
+        assert!(cli.quick && cli.check && cli.quiet);
+        assert_eq!(cli.only.as_deref(), Some("cg"));
+        assert_eq!(cli.nodes, Some(vec![2, 4]));
+        assert_eq!(cli.jobs(), 3);
+        assert_eq!(cli.suite().len(), 1);
+        let cli = Cli::from_args(&[]).unwrap();
+        assert!(!cli.quick && cli.only.is_none() && cli.nodes.is_none() && cli.jobs.is_none());
+        assert_eq!(cli.sweep(), vec![2, 4, 8, 16]);
+    }
+
+    #[test]
+    fn cli_rejects_what_it_does_not_understand() {
+        assert!(cli_err("--quick --bench NOPE").contains("unknown benchmark NOPE"));
+        assert!(cli_err("--nodes 0").contains("--nodes must be a positive integer, got 0"));
+        assert!(cli_err("--nodes 2,x").contains("--nodes must be a positive integer, got x"));
+        assert!(cli_err("--nodes 70000").contains("positive integer"));
+        assert!(cli_err("--jobs 0").contains("--jobs must be a positive integer"));
+        assert!(cli_err("--jobs many").contains("--jobs must be a positive integer"));
+        assert!(cli_err("--quick --bench").contains("--bench requires a value"));
+        assert!(cli_err("--nodes").contains("--nodes requires a value"));
+        assert!(cli_err("--bogus").contains("unknown argument --bogus"));
+        assert!(cli_err("--quick fig1").contains("unknown argument fig1"));
     }
 }

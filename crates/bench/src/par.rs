@@ -16,9 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use slipstream_core::{
-    host_note, run, run_full, run_full_with_tracer, ExecMode, HostProfile, HostProfileData,
-    MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
+    run, ExecMode, MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
 };
+
+use crate::host_note;
 
 /// Structured identity of one simulation cell: everything that influences
 /// the result. Used as the dedup/cache key (replacing the former
@@ -100,26 +101,6 @@ impl<'w> Plan<'w> {
         self.cells.iter().map(|(w, spec)| RunKey::new(*w, spec))
     }
 
-    /// A copy of the plan with host profiling applied to every cell that
-    /// doesn't already enable it (`--host-profile` on the figure
-    /// binaries). Profiling is not part of [`RunKey`] — it cannot change
-    /// results — so dedup is unaffected.
-    pub fn with_host(&self, host: &HostProfile) -> Plan<'w> {
-        Plan {
-            cells: self
-                .cells
-                .iter()
-                .map(|(w, spec)| {
-                    let mut spec = spec.clone();
-                    if !spec.host.is_on() {
-                        spec.host = host.clone();
-                    }
-                    (*w, spec)
-                })
-                .collect(),
-        }
-    }
-
     /// Executes the plan on up to `jobs` worker threads and returns one
     /// result per cell, in plan order.
     ///
@@ -138,19 +119,6 @@ impl<'w> Plan<'w> {
     /// violation prints the report and panics, failing the figure loudly
     /// rather than rendering numbers from a run the checker rejected.
     pub fn execute_opts(&self, jobs: usize, check: bool) -> Vec<RunResult> {
-        self.execute_collect(jobs, check).into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// [`Plan::execute_opts`], additionally returning each cell's host
-    /// profile (`Some` only for cells whose spec enables `host` — see
-    /// [`Plan::with_host`]). Duplicate cells share the first occurrence's
-    /// profile, like they share its result.
-    pub fn execute_collect(
-        &self,
-        jobs: usize,
-        check: bool,
-    ) -> Vec<(RunResult, Option<HostProfileData>)> {
-        type CellOut = (RunResult, Option<HostProfileData>);
         // Dedup: map every cell to the first cell with the same key.
         let mut first_of: HashMap<RunKey, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new(); // cell index of each unique run
@@ -164,7 +132,7 @@ impl<'w> Plan<'w> {
             cell_slot.push(slot);
         }
 
-        let slots: Vec<Mutex<Option<CellOut>>> =
+        let slots: Vec<Mutex<Option<RunResult>>> =
             unique.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let workers = jobs.max(1).min(unique.len().max(1));
@@ -177,16 +145,16 @@ impl<'w> Plan<'w> {
                     }
                     let (w, spec) = &self.cells[unique[u]];
                     let started = std::time::Instant::now();
-                    let out = run_cell_full(*w, spec, check);
+                    let result = run_cell(*w, spec, check);
                     host_note!(
                         "  [ran {} {} @{} CMPs in {:.1}s: {} cycles]",
                         w.name(),
                         spec.mode,
                         spec.nodes,
                         started.elapsed().as_secs_f64(),
-                        out.0.exec_cycles
+                        result.exec_cycles
                     );
-                    *slots[u].lock().expect("result slot poisoned") = Some(out);
+                    *slots[u].lock().expect("result slot poisoned") = Some(result);
                 });
             }
         });
@@ -204,34 +172,17 @@ impl<'w> Plan<'w> {
     }
 }
 
-/// Runs one cell, returning the host profile alongside the result (`Some`
-/// only when `spec.host` is on). Checked runs attach the protocol
-/// checker's tracer directly so the profile survives; the checker verdict
-/// evaluation is charged to the profile's `check_s` phase.
+/// Runs one cell, with the protocol checker attached when `check` is set.
 ///
 /// # Panics
 ///
 /// Panics if the checker reports any violation (after printing the full
 /// report to stderr).
-pub(crate) fn run_cell_full(
-    w: &dyn Workload,
-    spec: &RunSpec,
-    check: bool,
-) -> (RunResult, Option<HostProfileData>) {
+pub(crate) fn run_cell(w: &dyn Workload, spec: &RunSpec, check: bool) -> RunResult {
     if !check {
-        if !spec.host.is_on() {
-            return (run(w, spec), None);
-        }
-        let out = run_full(w, spec);
-        return (out.result, out.profile);
+        return run(w, spec);
     }
-    let (checker, tracer) = slipstream_check::ProtocolChecker::new();
-    let mut out = run_full_with_tracer(w, spec, tracer);
-    let check_started = std::time::Instant::now();
-    let report = checker.finish();
-    if let Some(p) = out.profile.as_mut() {
-        p.phases.check_s = check_started.elapsed().as_secs_f64();
-    }
+    let (result, report) = slipstream_check::run_checked(w, spec);
     if !report.ok() {
         for v in &report.violations {
             eprintln!("{} {v}", w.name());
@@ -244,7 +195,7 @@ pub(crate) fn run_cell_full(
             report.summary()
         );
     }
-    (out.result, out.profile)
+    result
 }
 
 #[cfg(test)]

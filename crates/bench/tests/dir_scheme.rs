@@ -14,8 +14,7 @@
 //!    run to completion under the checker.
 
 use slipstream_core::{
-    run, run_full_with_tracer, ArSyncMode, DirScheme, ExecMode, RunResult, RunSpec,
-    SlipstreamConfig, Workload,
+    run, ArSyncMode, DirScheme, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload,
 };
 use slipstream_workloads::{by_name, quick_suite, Sor};
 
@@ -115,9 +114,7 @@ fn unoverflowed_limited_pointer_matches_full_map() {
 /// Runs `spec` with the coherence invariant checker attached, panicking
 /// on any violation.
 fn run_checked(w: &dyn Workload, spec: &RunSpec) -> RunResult {
-    let (checker, tracer) = slipstream_check::ProtocolChecker::new();
-    let out = run_full_with_tracer(w, spec, tracer);
-    let report = checker.finish();
+    let (result, report) = slipstream_check::run_checked(w, spec);
     assert!(
         report.ok(),
         "{} {:?}: checker rejected the run: {}",
@@ -125,7 +122,7 @@ fn run_checked(w: &dyn Workload, spec: &RunSpec) -> RunResult {
         spec.mode,
         report.summary()
     );
-    out.result
+    result
 }
 
 /// A 1-pointer directory on a sharing-heavy workload overflows: broadcast

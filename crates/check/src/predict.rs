@@ -240,7 +240,7 @@ pub fn cross_validate_with(
     let spec =
         RunSpec::new(ntasks as u16, ExecMode::Single).with_machine(cfg.clone());
     let (observer, state) = SharingObserver::new();
-    let result = run_full_with_tracer(workload, &spec, Box::new(observer)).result;
+    let result = run_full_with_tracer(workload, &spec, Box::new(observer)).0;
     let st = state.borrow();
 
     let checks = bound_checks(&analysis.bounds, &result.mem);

@@ -717,6 +717,6 @@ impl ProtoState {
 /// The [`RunResult`] is bit-identical to an unchecked run.
 pub fn run_checked(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, CheckReport) {
     let (checker, tracer) = ProtocolChecker::new();
-    let result = slipstream_core::run_full_with_tracer(workload, spec, tracer).result;
+    let result = slipstream_core::run_full_with_tracer(workload, spec, tracer).0;
     (result, checker.finish())
 }

@@ -56,16 +56,12 @@ mod machine;
 mod report;
 mod runner;
 mod stream;
-pub mod telemetry;
 mod trace;
 mod workload;
 
 pub use machine::Machine;
 pub use report::{RunResult, StreamReport, TimeBreakdown};
-pub use runner::{
-    run, run_full, run_full_with_tracer, run_sequential, run_traced, RunOutput, RunSpec,
-};
-pub use telemetry::{HostProfile, HostProfileData, HOST_PROFILE_SCHEMA};
+pub use runner::{run, run_full_with_tracer, run_sequential, run_traced, RunSpec};
 pub use stream::{BlockKind, StreamState};
 pub use trace::{
     run_result_json, AccessCounts, IntervalSample, LineCounters, TraceConfig, TraceData,

@@ -9,18 +9,7 @@ use slipstream_prog::{Op, ProgramIter, Space};
 
 use crate::report::{RunResult, StreamReport};
 use crate::stream::{BlockKind, PairState, StreamExec, StreamState};
-use crate::telemetry::{Heartbeat, Histogram, QueueStats, QUEUE_SAMPLE_PERIOD};
 use crate::trace::{IntervalSample, TraceConfig, TraceData, TraceKind, TraceState};
-
-/// Host-profiling state ([`crate::telemetry`]): queue-lane occupancy
-/// histograms plus the optional progress heartbeat. Boxed so the
-/// unprofiled machine carries one pointer.
-#[derive(Debug)]
-struct HostState {
-    ring: Histogram,
-    heap: Histogram,
-    heartbeat: Option<Heartbeat>,
-}
 
 /// Global simulation events: memory-system internals plus processor
 /// resumptions. `epoch` guards against stale resumes after an A-stream is
@@ -89,9 +78,6 @@ pub struct Machine {
     /// so `RunResult::host_events` is identical with the fast path on or
     /// off.
     host_events: u64,
-    /// Host-profiling state; `None` (the default) costs the main loop one
-    /// pointer-null check per event.
-    host: Option<Box<HostState>>,
 }
 
 impl Machine {
@@ -152,33 +138,6 @@ impl Machine {
             trace,
             fastpath,
             host_events: 0,
-            host: None,
-        }
-    }
-
-    /// Enables host-side profiling: queue-occupancy sampling every
-    /// [`QUEUE_SAMPLE_PERIOD`] events and, when given, a progress
-    /// heartbeat. Strictly observational — results are bit-identical with
-    /// profiling on or off.
-    pub(crate) fn enable_host_profile(&mut self, heartbeat: Option<Heartbeat>) {
-        self.host = Some(Box::new(HostState {
-            ring: Histogram::new(),
-            heap: Histogram::new(),
-            heartbeat,
-        }));
-    }
-
-    /// Records one queue-occupancy sample and drives the heartbeat.
-    /// Out-of-line: the hot loop only pays the `is_some` check.
-    #[cold]
-    fn host_sample(&mut self) {
-        let ring = self.q.lane_len() as u64;
-        let heap = self.q.heap_len() as u64;
-        let h = self.host.as_mut().expect("host profiling enabled");
-        h.ring.record(ring);
-        h.heap.record(heap);
-        if let Some(hb) = h.heartbeat.as_mut() {
-            hb.maybe_beat(self.host_events);
         }
     }
 
@@ -197,15 +156,7 @@ impl Machine {
     /// collected [`TraceData`] when the machine was assembled with an
     /// enabled [`TraceConfig`]. The [`RunResult`] is bit-identical to an
     /// untraced run: tracing is observation only.
-    pub fn run_traced(self) -> (RunResult, Option<TraceData>) {
-        let (result, trace, _) = self.run_full();
-        (result, trace)
-    }
-
-    /// [`Machine::run_traced`] plus the host-profiler's queue statistics
-    /// when [`Machine::enable_host_profile`] was called (`None`
-    /// otherwise).
-    pub(crate) fn run_full(mut self) -> (RunResult, Option<TraceData>, Option<QueueStats>) {
+    pub fn run_traced(mut self) -> (RunResult, Option<TraceData>) {
         // A-streams start first: at equal timestamps the reduced stream
         // must get to run ahead, or an R-stream with an empty first session
         // would misread it as deviated before it ever executed.
@@ -222,9 +173,6 @@ impl Machine {
         let mut out: Vec<Completion> = Vec::new();
         while let Some((t, ev)) = self.q.pop() {
             self.host_events += 1;
-            if self.host.is_some() && self.host_events.is_multiple_of(QUEUE_SAMPLE_PERIOD) {
-                self.host_sample();
-            }
             if self.trace.as_ref().is_some_and(|ts| t >= ts.next_sample) {
                 self.take_samples(t, self.host_events);
             }
@@ -300,13 +248,6 @@ impl Machine {
                 exec_cycles,
             )
         });
-        let host_queue = self.host.take().map(|h| QueueStats {
-            total_pushed: self.q.total_pushed(),
-            heap_pushes: self.q.heap_pushes(),
-            high_water: self.q.high_water() as u64,
-            ring_occupancy: h.ring,
-            heap_occupancy: h.heap,
-        });
         let streams = self
             .streams
             .iter()
@@ -329,7 +270,7 @@ impl Machine {
             recoveries: self.recoveries,
             host_events,
         };
-        (result, trace, host_queue)
+        (result, trace)
     }
 
     // ------------------------------------------------------------------

@@ -6,7 +6,6 @@ use slipstream_prog::{InstanceId, Layout};
 use crate::machine::Machine;
 use crate::report::RunResult;
 use crate::stream::{PairState, StreamExec};
-use crate::telemetry::{HostProfile, HostProfileData};
 use crate::trace::{TraceConfig, TraceData};
 use crate::workload::Workload;
 
@@ -43,10 +42,6 @@ pub struct RunSpec {
     /// result is bit-identical either way; turning this off exists for the
     /// differential tests and debugging.
     pub fastpath: bool,
-    /// Host-side self-profiling (see [`crate::telemetry`]). Default: off,
-    /// zero collection cost; profiled runs are bit-identical to
-    /// unprofiled ones.
-    pub host: HostProfile,
 }
 
 impl RunSpec {
@@ -63,7 +58,6 @@ impl RunSpec {
             input_cycles: 500,
             trace: TraceConfig::default(),
             fastpath: true,
-            host: HostProfile::default(),
         }
     }
 
@@ -97,12 +91,6 @@ impl RunSpec {
         self.fastpath = fastpath;
         self
     }
-
-    /// Enables host-side self-profiling (see [`crate::telemetry`]).
-    pub fn with_host_profile(mut self, host: HostProfile) -> RunSpec {
-        self.host = host;
-        self
-    }
 }
 
 /// Runs `workload` under `spec` and returns the measurements.
@@ -125,32 +113,10 @@ pub fn run(workload: &dyn Workload, spec: &RunSpec) -> RunResult {
 /// `spec.trace` enables any collection (`None` otherwise). The
 /// [`RunResult`] is bit-identical either way: tracing only observes.
 pub fn run_traced(workload: &dyn Workload, spec: &RunSpec) -> (RunResult, Option<TraceData>) {
-    let out = run_inner(workload, spec, None);
-    (out.result, out.trace)
-}
-
-/// Everything one run can produce: the measurements, the optional trace,
-/// and the optional host profile ([`crate::telemetry`]). `trace` is
-/// `Some` iff `spec.trace` enables collection; `profile` is `Some` iff
-/// `spec.host` is on. The [`RunResult`] is bit-identical no matter which
-/// of the two observers are attached.
-#[derive(Debug)]
-pub struct RunOutput {
-    /// The run's measurements.
-    pub result: RunResult,
-    /// Collected trace data, when `spec.trace` enabled any.
-    pub trace: Option<TraceData>,
-    /// The host profile, when `spec.host` is on.
-    pub profile: Option<HostProfileData>,
-}
-
-/// Runs `workload` under `spec` and returns measurements, trace, and
-/// host profile together (see [`RunOutput`]).
-pub fn run_full(workload: &dyn Workload, spec: &RunSpec) -> RunOutput {
     run_inner(workload, spec, None)
 }
 
-/// [`run_full`] with an additional caller-supplied
+/// [`run_traced`] with an additional caller-supplied
 /// [`slipstream_mem::MemTracer`] attached for the duration of the run,
 /// after the trace recorder when `spec.trace` is also enabled. Tracers
 /// observe only, so the [`RunResult`] is bit-identical to an untraced
@@ -160,7 +126,7 @@ pub fn run_full_with_tracer(
     workload: &dyn Workload,
     spec: &RunSpec,
     tracer: Box<dyn slipstream_mem::MemTracer>,
-) -> RunOutput {
+) -> (RunResult, Option<TraceData>) {
     run_inner(workload, spec, Some(tracer))
 }
 
@@ -168,7 +134,7 @@ fn run_inner(
     workload: &dyn Workload,
     spec: &RunSpec,
     extra_tracer: Option<Box<dyn slipstream_mem::MemTracer>>,
-) -> RunOutput {
+) -> (RunResult, Option<TraceData>) {
     let mut cfg = spec.machine.clone().unwrap_or_else(|| {
         if workload.small_l2() {
             MachineConfig::water(spec.nodes)
@@ -184,8 +150,6 @@ fn run_inner(
         ExecMode::Single | ExecMode::Slipstream => spec.nodes as usize,
         ExecMode::Double => spec.nodes as usize * 2,
     };
-    // Build-phase wall clock, measured only on profiled runs.
-    let build_started = spec.host.is_on().then(std::time::Instant::now);
     let mut layout = Layout::with_page_size(cfg.page_bytes);
     let builder = workload.instantiate(ntasks, &mut layout);
 
@@ -260,7 +224,7 @@ fn run_inner(
     let mut mem = MemSystem::new(&cfg, home, ntasks as u32);
     mem.set_si_interval(spec.slip.si_interval.max(1));
 
-    let mut machine = Machine::assemble(
+    let machine = Machine::assemble(
         workload.name().to_string(),
         cfg,
         spec.slip,
@@ -275,34 +239,7 @@ fn run_inner(
         spec.fastpath,
         extra_tracer,
     );
-    if spec.host.is_on() {
-        machine.enable_host_profile(crate::telemetry::Heartbeat::new(
-            workload.name(),
-            spec.host.heartbeat_secs,
-            spec.host.expected_events,
-        ));
-    }
-    let build_s = build_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-    let sim_started = spec.host.is_on().then(std::time::Instant::now);
-    let (result, trace, host_queue) = machine.run_full();
-    let profile = host_queue.map(|queue| {
-        let simulate_s = sim_started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        let mut p = HostProfileData {
-            nodes: spec.nodes,
-            events: result.host_events,
-            sim_cycles: result.exec_cycles,
-            phases: crate::telemetry::PhaseTimes {
-                build_s,
-                simulate_s,
-                ..Default::default()
-            },
-            queue,
-            resources: Vec::new(),
-        };
-        p.fill_resources(&result);
-        p
-    });
-    RunOutput { result, trace, profile }
+    machine.run_traced()
 }
 
 /// Runs the sequential baseline: the whole problem as one task on a

@@ -27,7 +27,10 @@ pub mod corpus;
 pub use mutate::Mutation;
 pub use spec::{Pattern, PatternSpec, LINE};
 
-use slipstream_check::PatternContract;
+use slipstream_check::{
+    analyze_tasks, instantiate_workload, verify_contract, verify_task_set, AnalysisConfig,
+    PatternContract,
+};
 use slipstream_core::{TaskBuilderFn, Workload};
 use slipstream_prog::Layout;
 
@@ -74,6 +77,40 @@ impl GenWorkload {
     /// for `ntasks` tasks (rule SC015).
     pub fn contract(&self, ntasks: usize) -> PatternContract {
         self.spec.contract(self.seed, ntasks)
+    }
+
+    /// The mutant kill check: instantiates the programs for `ntasks` tasks
+    /// (as R/A pairs when the mutation needs them), runs the static
+    /// verifier, the pattern contract and the sharing analyzer, and looks
+    /// for the mutation's expected rule at its expected severity. The
+    /// analyzer belongs in the pipeline because class-shifting mutations
+    /// are race-free: only its `SP*` lints can see them.
+    ///
+    /// # Errors
+    ///
+    /// The planted bug went unnoticed; the error lists the ids of the
+    /// rules that did fire, in diagnostic order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload carries no mutation.
+    pub fn kill_check(
+        &self,
+        page_bytes: u64,
+        ntasks: usize,
+        acfg: &AnalysisConfig,
+    ) -> Result<(), Vec<&'static str>> {
+        let m = self.mutation.expect("the kill check needs a mutant");
+        let set = instantiate_workload(self, page_bytes, ntasks, m.needs_slipstream());
+        let mut diags = verify_task_set(&set);
+        diags.extend(verify_contract(&set.r, &self.contract(ntasks)));
+        diags.extend(analyze_tasks(&set.layout, &set.r, acfg).diagnostics);
+        let (rule, severity) = (m.expected_rule(), m.expected_severity());
+        if diags.iter().any(|d| d.rule == rule && d.severity == severity) {
+            Ok(())
+        } else {
+            Err(diags.iter().map(|d| d.rule.id()).collect())
+        }
     }
 }
 

@@ -4,8 +4,7 @@
 //! rule that targets its defect class.
 
 use slipstream_check::{
-    analyze_tasks, instantiate_workload, verify_contract, verify_task_set, AnalysisConfig,
-    Severity,
+    instantiate_workload, verify_contract, verify_task_set, AnalysisConfig, Severity,
 };
 use slipstream_core::{run, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload as _};
 use slipstream_gen::corpus::{self, CORPUS_SEED};
@@ -106,22 +105,10 @@ fn every_mutation_is_caught_with_its_expected_rule() {
     for (i, m) in Mutation::ALL.into_iter().enumerate() {
         let w = corpus::mutant_entry(CORPUS_SEED, i);
         assert_eq!(w.mutation(), Some(m));
-        let set = instantiate_workload(&w, PAGE, 4, m.needs_slipstream());
-        let mut diags = verify_task_set(&set);
-        diags.extend(verify_contract(&set.r, &w.contract(4)));
-        // The analyzer's SP* lints are part of the kill pipeline too:
-        // class-shifting mutations are invisible to the correctness passes.
-        diags.extend(analyze_tasks(&set.layout, &set.r, &AnalysisConfig::default()).diagnostics);
-        let rule = m.expected_rule();
-        let severity = m.expected_severity();
-        assert!(
-            diags.iter().any(|d| d.rule == rule && d.severity == severity),
-            "mutant `{}`: expected {} ({}), got {:?}",
-            w.name(),
-            rule.id(),
-            rule.name(),
-            diags.iter().map(|d| d.rule.id()).collect::<Vec<_>>()
-        );
+        if let Err(fired) = w.kill_check(PAGE, 4, &AnalysisConfig::default()) {
+            let rule = m.expected_rule();
+            panic!("mutant `{}`: expected {} ({}), got {fired:?}", w.name(), rule.id(), rule.name());
+        }
     }
 }
 

@@ -61,10 +61,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     high_water: usize,
-    /// Pushes that fell back to the heap lane (outside the near-future
-    /// window). A high fraction means the window is mis-sized for the
-    /// workload's event deltas; the host-telemetry layer reports it.
-    heap_pushes: u64,
 }
 
 /// One bucket of the near-future lane: `(seq, event)` entries in push
@@ -123,7 +119,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             high_water: 0,
-            heap_pushes: 0,
         }
     }
 
@@ -148,7 +143,6 @@ impl<E> EventQueue<E> {
             self.lane[(t & LANE_MASK) as usize].push_back((seq, event));
             self.lane_len += 1;
         } else {
-            self.heap_pushes += 1;
             self.heap.push(Entry { key: pack(at, seq), event });
         }
         // Peak-depth tracking for the observability layer. The branch is
@@ -280,21 +274,6 @@ impl<E> EventQueue<E> {
     /// Maximum number of events ever pending at once (peak queue depth).
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Events currently pending in the near-future bucket ring.
-    pub fn lane_len(&self) -> usize {
-        self.lane_len
-    }
-
-    /// Events currently pending in the far-tail heap.
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Lifetime count of pushes that fell back to the heap lane.
-    pub fn heap_pushes(&self) -> u64 {
-        self.heap_pushes
     }
 }
 
