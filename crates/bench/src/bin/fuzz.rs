@@ -17,10 +17,12 @@
 //!    the predicted class's observable projection
 //!    (`slipstream_check::cross_validate_with`).
 //!
-//! Then every seeded mutation is re-checked: the planted bug must be
-//! caught by its expected rule at its expected severity (`Error` for the
-//! `SC*` correctness rules, `Warning` for the analyzer's `SP*` lints,
-//! which class-shifting mutations target).
+//! Then the seeded mutants are checked: `slipstream_gen::Mutation` plants
+//! one defect per static rule (21), and each planted bug must be caught
+//! by its expected rule at its expected severity (`Error` for the `SC*`
+//! correctness rules, `Warning` for the analyzer's `SP*` lints). This is
+//! the static passes' self-test: `fuzz --count 0 --mutants 21` runs one
+//! round of it alone.
 //!
 //! Usage: `fuzz [--seed S] [--count N] [--nodes N] [--mutants M]
 //!              [--quick] [--json PATH] [--quiet]`
@@ -42,10 +44,9 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use slipstream_bench::{flag_num, flag_value, known_flags, positive};
+use slipstream_bench::{flag_num, flag_value, known_flags, parse_seed, positive};
 use slipstream_check::{
-    cross_validate_with, instantiate_workload, run_checked, verify_contract, verify_task_set,
-    AnalysisConfig, Severity, ValidationReport,
+    cross_validate_with, run_checked, AnalysisConfig, Severity, ValidationReport,
 };
 use slipstream_core::{
     run, ArSyncMode, ExecMode, MachineConfig, RunSpec, SlipstreamConfig, Workload,
@@ -83,15 +84,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-/// A seed in decimal or `0x` hex.
-fn parse_seed(s: &str) -> Result<u64, String> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    }
-    .map_err(|_| format!("--seed requires a decimal or 0x-hex number, got {s}"))
-}
-
 /// The four execution modes of the benchmark matrix.
 fn mode_specs(nodes: u16) -> Vec<(&'static str, RunSpec)> {
     vec![
@@ -110,9 +102,15 @@ fn mode_specs(nodes: u16) -> Vec<(&'static str, RunSpec)> {
     ]
 }
 
-/// Static pipeline: verifier + contract over both instantiations.
-/// Returns failure descriptions (empty = clean).
-fn static_failures(w: &GenWorkload, cfg: &MachineConfig, nodes: u16) -> Vec<String> {
+/// Static pipeline: every static pass over both instantiations (the
+/// analyzer's `SP*` lints are warnings, so only the verifier and the
+/// contract can fail it). Returns failure descriptions (empty = clean).
+fn static_failures(
+    w: &GenWorkload,
+    cfg: &MachineConfig,
+    acfg: &AnalysisConfig,
+    nodes: u16,
+) -> Vec<String> {
     let mut fails = Vec::new();
     let configs = [
         (nodes as usize, false),
@@ -120,9 +118,7 @@ fn static_failures(w: &GenWorkload, cfg: &MachineConfig, nodes: u16) -> Vec<Stri
         (nodes as usize, true),
     ];
     for (ntasks, slipstream) in configs {
-        let set = instantiate_workload(w, cfg.page_bytes, ntasks, slipstream);
-        let mut diags = verify_task_set(&set);
-        diags.extend(verify_contract(&set.r, &w.contract(ntasks)));
+        let diags = w.diagnostics(cfg.page_bytes, ntasks, slipstream, acfg);
         for d in diags.iter().filter(|d| d.severity == Severity::Error) {
             fails.push(format!(
                 "{} ({ntasks} tasks, slipstream={slipstream}): {}",
@@ -167,10 +163,10 @@ struct ProgramReport {
 fn validation_stage(
     w: &GenWorkload,
     cfg: &MachineConfig,
+    acfg: &AnalysisConfig,
     nodes: u16,
 ) -> (ValidationReport, Vec<String>) {
-    let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
-    let report = cross_validate_with(cfg, w, nodes as usize, &acfg);
+    let report = cross_validate_with(cfg, w, nodes as usize, acfg);
     let fails = if report.ok {
         Vec::new()
     } else {
@@ -189,13 +185,14 @@ fn main() -> ExitCode {
         std::process::exit(2)
     });
     let cfg = MachineConfig::with_nodes(args.nodes);
+    let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     let specs = mode_specs(args.nodes);
     let mut failures: Vec<String> = Vec::new();
     let mut programs: Vec<ProgramReport> = Vec::new();
 
     for i in 0..args.count {
         let w = corpus_entry(args.seed, i);
-        let mut fails = static_failures(&w, &cfg, args.nodes);
+        let mut fails = static_failures(&w, &cfg, &acfg, args.nodes);
         let mut cycles = Vec::new();
         let mut validation = None;
         if fails.is_empty() {
@@ -208,7 +205,7 @@ fn main() -> ExitCode {
                 cycles.push((*mode, c));
                 fails.extend(f);
             }
-            let (report, f) = validation_stage(&w, &cfg, args.nodes);
+            let (report, f) = validation_stage(&w, &cfg, &acfg, args.nodes);
             validation = Some(report);
             fails.extend(f);
         }
@@ -235,7 +232,6 @@ fn main() -> ExitCode {
 
     let mut mutants_caught = 0usize;
     let mut mutant_rows: Vec<(String, &'static str, &'static str, bool)> = Vec::new();
-    let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     for i in 0..args.mutants {
         let w = mutant_entry(args.seed, i);
         let m = w.mutation().expect("mutant");

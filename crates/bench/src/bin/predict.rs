@@ -22,6 +22,7 @@
 
 use std::process::ExitCode;
 
+use slipstream_bench::{parse_seed, positive};
 use slipstream_check::{
     analyze, cross_validate, instantiate_workload, Analysis, AnalysisConfig,
 };
@@ -65,22 +66,12 @@ impl Cli {
                         value("--corpus")?.parse().map_err(|e| format!("--corpus: {e}"))?;
                     cli.corpus = Some(n.min(CORPUS_COUNT));
                 }
-                "--seed" => {
-                    let s = value("--seed")?;
-                    cli.seed = if let Some(hex) = s.strip_prefix("0x") {
-                        u64::from_str_radix(hex, 16).map_err(|e| format!("--seed: {e}"))?
-                    } else {
-                        s.parse().map_err(|e| format!("--seed: {e}"))?
-                    };
-                }
+                "--seed" => cli.seed = parse_seed(&value("--seed")?)?,
                 "--tasks" => {
                     cli.tasks = value("--tasks")?
                         .split(',')
-                        .map(|s| s.trim().parse().map_err(|e| format!("--tasks: {e}")))
+                        .map(|s| positive("--tasks", s.trim()))
                         .collect::<Result<_, _>>()?;
-                    if cli.tasks.is_empty() {
-                        return Err("--tasks needs at least one count".to_string());
-                    }
                 }
                 other => {
                     return Err(format!(

@@ -251,6 +251,19 @@ pub fn positive<T: FromStr + Default + PartialEq>(what: &str, value: &str) -> Re
     }
 }
 
+/// A seed in decimal or `0x` hex.
+///
+/// # Errors
+///
+/// `value` is neither.
+pub fn parse_seed(value: &str) -> Result<u64, String> {
+    match value.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => value.parse(),
+    }
+    .map_err(|_| format!("--seed requires a decimal or 0x-hex number, got {value}"))
+}
+
 /// Prints `err`, then `usage` and the benchmark names, on stderr and exits
 /// with status 2, a usage error (as in the `check` binary).
 pub fn exit_usage(usage: &str, err: &str) -> ! {
@@ -465,5 +478,13 @@ mod tests {
         assert!(cli_err("--nodes").contains("--nodes requires a value"));
         assert!(cli_err("--bogus").contains("unknown argument --bogus"));
         assert!(cli_err("--quick fig1").contains("unknown argument fig1"));
+    }
+
+    #[test]
+    fn seeds_are_decimal_or_hex() {
+        assert_eq!(parse_seed("42"), Ok(42));
+        assert_eq!(parse_seed("0x51195eed"), Ok(0x5119_5EED));
+        assert!(parse_seed("zz").unwrap_err().contains("decimal or 0x-hex number, got zz"));
+        assert!(parse_seed("0xzz").is_err());
     }
 }

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! check [--quick] [--bench NAME] [--tasks N,N,...] [--json]   static lint
-//! check --selftest                                            verifier self-test
 //! check --dynamic [--quick] [--bench NAME] [--nodes N]
 //!       [--mode single|double|slipstream|slipstream+si] [--json]
 //! check --explain CODE                                        rule catalogue
@@ -11,18 +10,21 @@
 //!
 //! The static lint walks every workload's generated programs (conventional
 //! and slipstream instantiations at each task count) through the
-//! happens-before verifier. `--selftest` runs the seeded-mutation corpus
-//! and fails unless every planted defect is caught. `--dynamic` runs real
-//! simulations with the coherence invariant checker attached. `--explain`
-//! prints the catalogue entry for one rule id — `SCxxx` (static verifier),
-//! `SPxxx` (sharing analyzer), or `PCxxx` (protocol checker).
+//! happens-before verifier. `--dynamic` runs real simulations with the
+//! coherence invariant checker attached. `--explain` prints the catalogue
+//! entry for one rule id — `SCxxx` (static verifier), `SPxxx` (sharing
+//! analyzer), or `PCxxx` (protocol checker). The static passes' self-test
+//! is the generator's seeded-mutation catalogue, run by
+//! `fuzz --count 0 --mutants 21`.
 //!
-//! Exit status: 0 clean, 1 findings (error-severity diagnostics, selftest
-//! failures, or protocol violations), 2 usage error.
+//! Exit status: 0 clean, 1 findings (error-severity diagnostics or
+//! protocol violations), 2 usage error (including a zero `--nodes` or
+//! `--tasks` count).
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use slipstream_check::{has_errors, mutations, run_checked, ProtoRule, Rule, Severity};
+use slipstream_check::{has_errors, run_checked, ProtoRule, Rule, Severity};
 use slipstream_core::{ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
@@ -31,7 +33,6 @@ struct Cli {
     bench: Option<String>,
     tasks: Vec<usize>,
     json: bool,
-    selftest: bool,
     dynamic: bool,
     explain: Option<String>,
     nodes: u16,
@@ -45,7 +46,6 @@ impl Cli {
             bench: None,
             tasks: vec![2, 8],
             json: false,
-            selftest: false,
             dynamic: false,
             explain: None,
             nodes: 2,
@@ -59,29 +59,21 @@ impl Cli {
             match arg.as_str() {
                 "--quick" => cli.quick = true,
                 "--json" => cli.json = true,
-                "--selftest" => cli.selftest = true,
                 "--dynamic" => cli.dynamic = true,
                 "--explain" => cli.explain = Some(value("--explain")?),
                 "--bench" => cli.bench = Some(value("--bench")?),
-                "--nodes" => {
-                    cli.nodes = value("--nodes")?
-                        .parse()
-                        .map_err(|e| format!("--nodes: {e}"))?;
-                }
+                "--nodes" => cli.nodes = positive("--nodes", &value("--nodes")?)?,
                 "--mode" => cli.mode = value("--mode")?,
                 "--tasks" => {
                     cli.tasks = value("--tasks")?
                         .split(',')
-                        .map(|s| s.trim().parse().map_err(|e| format!("--tasks: {e}")))
+                        .map(|s| positive("--tasks", s.trim()))
                         .collect::<Result<_, _>>()?;
-                    if cli.tasks.is_empty() {
-                        return Err("--tasks needs at least one count".to_string());
-                    }
                 }
                 other => {
                     return Err(format!(
                         "unknown flag {other}; supported: --quick --bench NAME --tasks N,N \
-                         --json --selftest --dynamic --explain CODE --nodes N --mode MODE"
+                         --json --dynamic --explain CODE --nodes N --mode MODE"
                     ))
                 }
             }
@@ -96,6 +88,14 @@ impl Cli {
                 .ok_or_else(|| format!("unknown benchmark `{name}`")),
             None => Ok(if self.quick { quick_suite() } else { paper_suite() }),
         }
+    }
+}
+
+/// `value` parsed as a positive count; the message names `flag`.
+fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(format!("{flag} must be a positive integer, got {value}")),
     }
 }
 
@@ -145,22 +145,6 @@ fn static_lint(cli: &Cli) -> Result<bool, String> {
         println!("checked {configs} workload configs: {total} diagnostic(s)");
     }
     Ok(!errors)
-}
-
-fn selftest(cli: &Cli) -> bool {
-    let failures = mutations::selftest();
-    let cases = mutations::mutation_cases().len();
-    for f in &failures {
-        eprintln!("selftest FAIL: {f}");
-    }
-    if !cli.json {
-        println!(
-            "selftest: {}/{} seeded defects detected",
-            cases - failures.len(),
-            cases
-        );
-    }
-    failures.is_empty()
 }
 
 fn dynamic(cli: &Cli) -> Result<bool, String> {
@@ -256,8 +240,6 @@ fn main() -> ExitCode {
     };
     let outcome = if let Some(code) = &cli.explain {
         explain(&cli, code)
-    } else if cli.selftest {
-        Ok(selftest(&cli))
     } else if cli.dynamic {
         dynamic(&cli)
     } else {

@@ -157,10 +157,11 @@ impl Rule {
         }
     }
 
-    /// Every static rule, in id order (used by the selftest coverage
-    /// check and the docs generator). `SC*` rules are correctness
-    /// (error-severity) rules from the verifier; `SP*` rules are
-    /// performance lints (warning-severity) from the sharing analyzer.
+    /// Every static rule, in id order (`check --explain` looks codes up
+    /// here, and the generator's `Mutation::ALL` plants one defect per
+    /// entry). `SC*` rules are correctness (error-severity) rules from the
+    /// verifier; `SP*` rules are performance lints (warning-severity) from
+    /// the sharing analyzer.
     pub const ALL: [Rule; 21] = [
         Rule::SharedRace,
         Rule::PrivateIsolation,

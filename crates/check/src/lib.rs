@@ -36,7 +36,6 @@ pub mod contract;
 pub mod diag;
 pub mod lockorder;
 pub mod lockset;
-pub mod mutations;
 pub mod predict;
 pub mod protocol;
 pub mod verify;

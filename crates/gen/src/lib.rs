@@ -11,8 +11,9 @@
 //! run through the same machine runner as the paper's nine benchmarks.
 //! Each one also knows its structural [`PatternContract`]
 //! (rule SC015), and can carry one seeded [`Mutation`] — a planted bug
-//! the verifier must catch, which is what keeps the clean corpus's
-//! "zero diagnostics" result meaningful.
+//! the static passes must catch, which is what keeps the clean corpus's
+//! "zero diagnostics" result meaningful. The mutations are the project's
+//! one seeded-defect catalogue: one per static rule, `SC*` and `SP*`.
 //!
 //! The `fuzz` binary in `crates/bench` drives the full differential
 //! pipeline: generate, statically verify, simulate every execution mode,
@@ -28,7 +29,7 @@ pub use mutate::Mutation;
 pub use spec::{Pattern, PatternSpec, LINE};
 
 use slipstream_check::{
-    analyze_tasks, instantiate_workload, verify_contract, verify_task_set, AnalysisConfig,
+    analyze, instantiate_workload, verify_contract, verify_task_set, AnalysisConfig, Diagnostic,
     PatternContract,
 };
 use slipstream_core::{TaskBuilderFn, Workload};
@@ -79,12 +80,28 @@ impl GenWorkload {
         self.spec.contract(self.seed, ntasks)
     }
 
-    /// The mutant kill check: instantiates the programs for `ntasks` tasks
-    /// (as R/A pairs when the mutation needs them), runs the static
-    /// verifier, the pattern contract and the sharing analyzer, and looks
-    /// for the mutation's expected rule at its expected severity. The
-    /// analyzer belongs in the pipeline because class-shifting mutations
-    /// are race-free: only its `SP*` lints can see them.
+    /// Every static pass over the programs for `ntasks` tasks (as R/A
+    /// pairs when `slipstream`): the verifier, the pattern contract and
+    /// the sharing analyzer under `acfg`.
+    pub fn diagnostics(
+        &self,
+        page_bytes: u64,
+        ntasks: usize,
+        slipstream: bool,
+        acfg: &AnalysisConfig,
+    ) -> Vec<Diagnostic> {
+        let set = instantiate_workload(self, page_bytes, ntasks, slipstream);
+        let mut diags = verify_task_set(&set);
+        diags.extend(verify_contract(&set.r, &self.contract(ntasks)));
+        diags.extend(analyze(&set, acfg).diagnostics);
+        diags
+    }
+
+    /// The mutant kill check: runs [`GenWorkload::diagnostics`] (as R/A
+    /// pairs when the mutation needs them) and looks for the mutation's
+    /// expected rule at its expected severity. The analyzer belongs in
+    /// the pipeline because class-shifting mutations are race-free: only
+    /// its `SP*` lints can see them.
     ///
     /// # Errors
     ///
@@ -101,10 +118,12 @@ impl GenWorkload {
         acfg: &AnalysisConfig,
     ) -> Result<(), Vec<&'static str>> {
         let m = self.mutation.expect("the kill check needs a mutant");
-        let set = instantiate_workload(self, page_bytes, ntasks, m.needs_slipstream());
-        let mut diags = verify_task_set(&set);
-        diags.extend(verify_contract(&set.r, &self.contract(ntasks)));
-        diags.extend(analyze_tasks(&set.layout, &set.r, acfg).diagnostics);
+        let acfg = match m {
+            // SP005 exists only under a limited-pointer directory.
+            Mutation::NarrowDirectory => AnalysisConfig { limited_ptrs: Some(2), ..*acfg },
+            _ => *acfg,
+        };
+        let diags = self.diagnostics(page_bytes, ntasks, m.needs_slipstream(), &acfg);
         let (rule, severity) = (m.expected_rule(), m.expected_severity());
         if diags.iter().any(|d| d.rule == rule && d.severity == severity) {
             Ok(())

@@ -1,13 +1,16 @@
-//! Seeded mutations: one planted bug per generated program.
+//! Seeded mutations: one planted bug per generated program, and one
+//! mutation per static rule.
 //!
-//! Each [`Mutation`] breaks exactly one discipline a clean generated
-//! program upholds, targeting the pattern whose structure makes the bug
-//! expressible — and, for the newer rules, makes it *invisible* to the
-//! older passes (e.g. [`Mutation::StripLock`] removes a lock around an
-//! access the explored schedule still orders, so only the lockset pass
-//! SC013 can flag it). The fuzz pipeline and the generator tests assert
-//! every mutation is caught with its expected rule, which is what makes
-//! the clean corpus's "zero diagnostics" result trustworthy.
+//! [`Mutation::ALL`] maps one-to-one onto [`Rule::ALL`]: each mutation
+//! breaks exactly one discipline a clean generated program upholds, on a
+//! pattern whose clean programs do not already fire the target rule, and
+//! — for the newer rules — in a way the older passes cannot see (e.g.
+//! [`Mutation::StripLock`] removes a lock around an access the explored
+//! schedule still orders, so only the lockset pass SC013 can flag it).
+//! The fuzz pipeline and the generator tests assert every mutation is
+//! caught with its expected rule, which is what makes the clean corpus's
+//! "zero diagnostics" result trustworthy. Adding a rule without a
+//! mutation fails the one-to-one test.
 
 use slipstream_check::{Rule, Severity};
 
@@ -48,11 +51,35 @@ pub enum Mutation {
     /// the line now ping-pongs between writers — a *class shift* only the
     /// sharing analyzer's false-sharing lint (SP001) can see.
     ShareFalsely,
+    /// Task 0 takes lock 0 around its first barrier.
+    HoldLockAtBarrier,
+    /// Task 0's first lock is removed; its unlock stays.
+    DropLock,
+    /// A one-line shared region is inserted over the first region.
+    OverlapRegion,
+    /// Task 0's first private store is declared shared.
+    MislabelSpace,
+    /// Task 0 acquires its first lock twice: it blocks on itself.
+    Relock,
+    /// Task 0 stores the table's first line just after its first
+    /// barrier, while the other tasks re-read the table.
+    WriteWhileRead,
+    /// After the final barrier every task read-modify-writes the table's
+    /// first line under lock 0 (race-free, but contended migratory).
+    LockedCounter,
+    /// The last task re-reads the table's first line after the final
+    /// barrier, with no write since its previous read (race-free).
+    RereadAfterLast,
+    /// The program is unchanged; the kill check analyzes it under a
+    /// 2-pointer directory, the only configuration SP005 exists in.
+    NarrowDirectory,
+    /// Task 0's first compute gains 60,000 cycles.
+    Straggler,
 }
 
 impl Mutation {
     /// Every mutation, in a stable order.
-    pub const ALL: [Mutation; 11] = [
+    pub const ALL: [Mutation; 21] = [
         Mutation::DropPost,
         Mutation::DropBarrier,
         Mutation::DropUnlock,
@@ -64,6 +91,16 @@ impl Mutation {
         Mutation::UnmappedLoad,
         Mutation::SkewAStream,
         Mutation::ShareFalsely,
+        Mutation::HoldLockAtBarrier,
+        Mutation::DropLock,
+        Mutation::OverlapRegion,
+        Mutation::MislabelSpace,
+        Mutation::Relock,
+        Mutation::WriteWhileRead,
+        Mutation::LockedCounter,
+        Mutation::RereadAfterLast,
+        Mutation::NarrowDirectory,
+        Mutation::Straggler,
     ];
 
     /// Short stable key used in reports.
@@ -80,21 +117,43 @@ impl Mutation {
             Mutation::UnmappedLoad => "unmapped-load",
             Mutation::SkewAStream => "skew-a-stream",
             Mutation::ShareFalsely => "share-falsely",
+            Mutation::HoldLockAtBarrier => "hold-lock-at-barrier",
+            Mutation::DropLock => "drop-lock",
+            Mutation::OverlapRegion => "overlap-region",
+            Mutation::MislabelSpace => "mislabel-space",
+            Mutation::Relock => "relock",
+            Mutation::WriteWhileRead => "write-while-read",
+            Mutation::LockedCounter => "locked-counter",
+            Mutation::RereadAfterLast => "reread-after-last",
+            Mutation::NarrowDirectory => "narrow-directory",
+            Mutation::Straggler => "straggler",
         }
     }
 
-    /// The pattern whose structure this mutation targets.
+    /// The pattern whose structure this mutation targets; its clean
+    /// programs never fire the mutation's expected rule.
     pub fn pattern(self) -> Pattern {
         match self {
-            Mutation::DropPost | Mutation::UnmappedLoad => Pattern::ProducerConsumer,
-            Mutation::DropUnlock | Mutation::StripLock => Pattern::Migratory,
-            Mutation::StealWrite => Pattern::FalseSharing,
-            Mutation::DropBarrier | Mutation::CrossPrivate | Mutation::SkewAStream => {
-                Pattern::ReadMostly
+            Mutation::DropPost
+            | Mutation::UnmappedLoad
+            | Mutation::HoldLockAtBarrier
+            | Mutation::OverlapRegion
+            | Mutation::MislabelSpace
+            | Mutation::Straggler => Pattern::ProducerConsumer,
+            Mutation::DropUnlock | Mutation::StripLock | Mutation::DropLock | Mutation::Relock => {
+                Pattern::Migratory
             }
+            Mutation::StealWrite => Pattern::FalseSharing,
+            Mutation::DropBarrier
+            | Mutation::CrossPrivate
+            | Mutation::SkewAStream
+            | Mutation::ShareFalsely
+            | Mutation::WriteWhileRead
+            | Mutation::LockedCounter
+            | Mutation::RereadAfterLast
+            | Mutation::NarrowDirectory => Pattern::ReadMostly,
             Mutation::SwapLockOrder => Pattern::SyncHeavy,
             Mutation::BreakContract => Pattern::DivergeLaced,
-            Mutation::ShareFalsely => Pattern::ReadMostly,
         }
     }
 
@@ -113,6 +172,16 @@ impl Mutation {
             Mutation::UnmappedLoad => Rule::UnmappedAddress,
             Mutation::SkewAStream => Rule::InstanceDivergence,
             Mutation::ShareFalsely => Rule::FalseSharing,
+            Mutation::HoldLockAtBarrier => Rule::LockAcrossBarrier,
+            Mutation::DropLock => Rule::UnlockWithoutLock,
+            Mutation::OverlapRegion => Rule::LayoutOverlap,
+            Mutation::MislabelSpace => Rule::SpaceMismatch,
+            Mutation::Relock => Rule::SyncDeadlock,
+            Mutation::WriteWhileRead => Rule::ReadMostlyWrite,
+            Mutation::LockedCounter => Rule::ContendedMigratory,
+            Mutation::RereadAfterLast => Rule::SiHostile,
+            Mutation::NarrowDirectory => Rule::BroadcastOverflow,
+            Mutation::Straggler => Rule::LoadImbalance,
         }
     }
 
@@ -120,9 +189,10 @@ impl Mutation {
     /// correctness rules, `Warning` for the analyzer's `SP*` performance
     /// lints (a class-shifted program is still properly synchronized).
     pub fn expected_severity(self) -> Severity {
-        match self {
-            Mutation::ShareFalsely => Severity::Warning,
-            _ => Severity::Error,
+        if self.expected_rule().id().starts_with("SP") {
+            Severity::Warning
+        } else {
+            Severity::Error
         }
     }
 
@@ -138,11 +208,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_mutation_targets_a_distinct_rule() {
-        let mut rules: Vec<&str> = Mutation::ALL.iter().map(|m| m.expected_rule().id()).collect();
-        rules.sort_unstable();
-        rules.dedup();
-        assert_eq!(rules.len(), Mutation::ALL.len());
+    fn mutation_all_maps_one_to_one_onto_rule_all() {
+        assert_eq!(Mutation::ALL.len(), Rule::ALL.len());
+        for rule in Rule::ALL {
+            let n = Mutation::ALL.iter().filter(|m| m.expected_rule() == rule).count();
+            assert_eq!(n, 1, "{} ({}) is the target of {n} mutations", rule.id(), rule.name());
+        }
     }
 
     #[test]

@@ -55,14 +55,20 @@ pub(crate) fn instantiate(
     ntasks: usize,
     layout: &mut Layout,
 ) -> TaskBuilderFn {
-    match spec.pattern {
+    let builder = match spec.pattern {
         Pattern::ProducerConsumer => producer_consumer(spec, mutation, ntasks, layout),
         Pattern::Migratory => migratory(spec, mutation, ntasks, layout),
         Pattern::FalseSharing => false_sharing(spec, mutation, ntasks, layout),
         Pattern::ReadMostly => read_mostly(spec, seed, mutation, ntasks, layout, false),
         Pattern::SyncHeavy => sync_heavy(spec, seed, mutation, ntasks, layout),
         Pattern::DivergeLaced => read_mostly(spec, seed, mutation, ntasks, layout, true),
+    };
+    if mutation == Some(Mutation::OverlapRegion) {
+        if let Some(base) = layout.regions().first().map(|r| r.base) {
+            layout.insert_region_at("gen.overlap", base, LINE, RegionKind::Shared);
+        }
     }
+    builder
 }
 
 /// Allocates the per-instance private scratch and returns its first line.
@@ -74,7 +80,9 @@ fn scratch(layout: &mut Layout, inst: InstanceId, private_lines: u32) -> Addr {
 
 /// Applies the post-processing mutations and finalizes the op vector into
 /// a [`slipstream_prog::Program`]. Generation-time mutations
-/// (`SwapLockOrder`, `BreakContract`) are handled inside the builders.
+/// (`SwapLockOrder`, `BreakContract`) are handled inside the builders,
+/// `OverlapRegion` in [`instantiate`], and `NarrowDirectory` by the kill
+/// check's analyzer configuration.
 fn finalize(
     mut ops: Vec<Op>,
     mutation: Option<Mutation>,
@@ -92,6 +100,12 @@ fn finalize(
         b.op(op);
     }
     b.build(name)
+}
+
+/// The first shared region's base: task 0's word of the false-sharing
+/// array, or the first line of the read-mostly table.
+fn first_shared(layout: &Layout) -> Option<Addr> {
+    layout.regions().iter().find(|r| !matches!(r.kind, RegionKind::Private(_))).map(|r| r.base)
 }
 
 fn apply_mutation(
@@ -135,15 +149,10 @@ fn apply_mutation(
             }
         }
         Mutation::StealWrite if ntasks >= 2 && task == ntasks - 1 => {
-            // The first shared region's base is task 0's word of the
-            // false-sharing array; storing it before any synchronization
-            // races with task 0's round-0 write.
-            if let Some(r) = layout
-                .regions()
-                .iter()
-                .find(|r| !matches!(r.kind, RegionKind::Private(_)))
-            {
-                ops.insert(0, Op::store_shared(r.base));
+            // Storing task 0's word before any synchronization races with
+            // task 0's round-0 write.
+            if let Some(word) = first_shared(layout) {
+                ops.insert(0, Op::store_shared(word));
             }
         }
         Mutation::CrossPrivate if ntasks >= 2 && task == ntasks - 1 => {
@@ -168,12 +177,61 @@ fn apply_mutation(
             // program stays properly synchronized — but the line now has
             // multiple writers on distinct words: false sharing, visible
             // only to the analyzer's SP001.
-            if let Some(r) = layout
-                .regions()
-                .iter()
-                .find(|r| !matches!(r.kind, RegionKind::Private(_)))
+            if let Some(line) = first_shared(layout) {
+                ops.insert(0, Op::store_shared(Addr(line.0 + task as u64 * 8)));
+            }
+        }
+        Mutation::HoldLockAtBarrier if task == 0 => {
+            if let Some(i) = ops.iter().position(|o| matches!(o, Op::Barrier(_))) {
+                ops.insert(i + 1, Op::Unlock(LockId(0)));
+                ops.insert(i, Op::Lock(LockId(0)));
+            }
+        }
+        Mutation::DropLock if task == 0 => {
+            if let Some(i) = ops.iter().position(|o| matches!(o, Op::Lock(_))) {
+                ops.remove(i);
+            }
+        }
+        Mutation::MislabelSpace if task == 0 => {
+            if let Some(Op::Store { space, .. }) =
+                ops.iter_mut().find(|o| matches!(o, Op::Store { space: Space::Private, .. }))
             {
-                ops.insert(0, Op::store_shared(Addr(r.base.0 + task as u64 * 8)));
+                *space = Space::Shared;
+            }
+        }
+        Mutation::Relock if task == 0 => {
+            if let Some(i) = ops.iter().position(|o| matches!(o, Op::Lock(_))) {
+                ops.insert(i, ops[i]);
+            }
+        }
+        Mutation::WriteWhileRead if task == 0 => {
+            let first_barrier = ops.iter().position(|o| matches!(o, Op::Barrier(_)));
+            if let (Some(i), Some(line)) = (first_barrier, first_shared(layout)) {
+                ops.insert(i + 1, Op::store_shared(line));
+            }
+        }
+        Mutation::LockedCounter => {
+            // Every access to the line in the final phase holds lock 0, so
+            // the program stays race-free.
+            if let Some(line) = first_shared(layout) {
+                ops.extend([
+                    Op::Lock(LockId(0)),
+                    Op::load_shared(line),
+                    Op::store_shared(line),
+                    Op::Unlock(LockId(0)),
+                ]);
+            }
+        }
+        Mutation::RereadAfterLast if task + 1 == ntasks => {
+            // The table is only written before each round's first barrier,
+            // so the final read phase and this one see the same value.
+            if let Some(line) = first_shared(layout) {
+                ops.push(Op::load_shared(line));
+            }
+        }
+        Mutation::Straggler if task == 0 => {
+            if let Some(Op::Compute(n)) = ops.iter_mut().find(|o| matches!(o, Op::Compute(_))) {
+                *n += 60_000;
             }
         }
         Mutation::SkewAStream if inst.0 % 2 == 1 => {

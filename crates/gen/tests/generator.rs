@@ -113,14 +113,24 @@ fn every_mutation_is_caught_with_its_expected_rule() {
 }
 
 /// Clean programs must also be *detectably* clean: the mutation kill test
-/// only means something if the same pipeline passes the unmutated twin.
+/// only means something if the same pipeline passes the unmutated twin,
+/// so the twin must not fire the mutation's rule at any severity. (The
+/// twin of `NarrowDirectory` is its mutant: only the kill check's
+/// limited-pointer configuration differs.)
 #[test]
 fn mutant_twins_without_the_mutation_are_clean() {
+    let acfg = AnalysisConfig::default();
     for (i, m) in Mutation::ALL.into_iter().enumerate() {
         let mutant = corpus::mutant_entry(CORPUS_SEED, i);
         let twin = GenWorkload::new(mutant.spec().clone(), mutant.seed());
         assert_clean(&twin, 4);
-        let _ = m;
+        let rule = m.expected_rule();
+        let fired: Vec<_> = twin
+            .diagnostics(PAGE, 4, m.needs_slipstream(), &acfg)
+            .into_iter()
+            .filter(|d| d.rule == rule)
+            .collect();
+        assert!(fired.is_empty(), "twin of `{}` fires {}: {fired:#?}", mutant.name(), rule.id());
     }
 }
 

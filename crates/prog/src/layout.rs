@@ -177,10 +177,10 @@ impl Layout {
     /// sequential allocator — no page alignment, no overlap avoidance.
     ///
     /// The allocating methods can never produce an ill-formed layout, so
-    /// tooling that must construct one (the verifier's SC008 selftest
-    /// case, layout fault-injection) uses this instead. Simulator
-    /// workloads should always allocate through [`Layout::shared`],
-    /// [`Layout::shared_owned`], or [`Layout::private`].
+    /// tooling that must construct one (the generator's `OverlapRegion`
+    /// mutation, which proves the verifier's SC008 fires) uses this
+    /// instead. Simulator workloads should always allocate through
+    /// [`Layout::shared`], [`Layout::shared_owned`], or [`Layout::private`].
     pub fn insert_region_at(
         &mut self,
         name: &str,
