@@ -4,7 +4,7 @@
 //!
 //! The JSON is a *host-performance* artifact for catching simulator
 //! slowdowns across commits; simulated results (cycles, miss rates) are
-//! reported by the figure binaries and EXPERIMENTS.md.
+//! reported by the `figures` binary and EXPERIMENTS.md.
 //!
 //! Usage: `bench_sim [--out PATH] [--iters N]
 //!                   [--compare BASELINE [--tolerance PCT]] [--quiet]`

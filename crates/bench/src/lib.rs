@@ -1,37 +1,46 @@
-//! Shared harness code for the figure-reproduction binaries.
+//! The figure-reproduction harness: the paper's tables and figures, the
+//! executor that simulates their runs, and the command-line helpers of
+//! every `slipstream-bench` binary.
 //!
-//! Each `bin` target regenerates one table or figure of the paper; run
-//! them with `cargo run -p slipstream-bench --release --bin figN`.
-//! Common flags:
+//! One binary regenerates every figure:
+//! `cargo run --release -p slipstream-bench --bin figures -- --out DIR`
+//! writes `DIR/<name>.txt` for each figure of [`FIGURES`], or for the
+//! figures named as positional arguments. Flags:
 //!
+//! * `--out DIR` — the directory the figures are written to (required);
 //! * `--quick` — reduced problem sizes (same shapes, faster);
 //! * `--bench NAME` — restrict to one benchmark;
-//! * `--nodes N[,N...]` — override the CMP-count sweep;
+//! * `--nodes N[,N...]` — override the CMP-count sweep (and the node
+//!   counts of the ablation and scaling studies);
 //! * `--jobs N` — worker threads for the simulation grid (defaults to the
 //!   host's available parallelism; results are identical for any value);
 //! * `--check` — attach the coherence invariant checker
 //!   ([`slipstream_check::ProtocolChecker`]) to every run; a violation
-//!   fails the figure instead of rendering suspect numbers.
+//!   prints the checker's report and exits 1 instead of rendering
+//!   suspect numbers.
 //! * `--quiet` — silence progress narration on stderr (per-run lines);
-//!   figure output and errors still print.
+//!   errors still print.
 //!
-//! An unknown flag or benchmark, a missing value, or a node count or
-//! `--jobs` that is not a positive integer prints usage and exits 2.
+//! An unknown figure, flag or benchmark, a missing `--out` or value, or a
+//! node count or `--jobs` that is not a positive integer prints usage and
+//! exits 2.
 //!
-//! The binaries follow one pattern: declare the full grid of runs as a
-//! [`Plan`], execute it across cores with [`Runner::prewarm`], then render
-//! the figure from the warm cache.
+//! Each figure is one [`Render`] function over a [`Runner`];
+//! [`Figures::render`] records the runs every selected figure asks for,
+//! executes their union as one [`Plan`], then renders from its results.
 
-use std::collections::HashMap;
+use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use slipstream_core::{ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload};
+use slipstream_core::{ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
+mod figures;
 mod par;
 
-pub use par::{Plan, RunKey};
+pub use figures::{Figures, Render, Runner, FIGURES};
+pub use par::{Plan, Rejected, RunKey};
 
 static QUIET: AtomicBool = AtomicBool::new(false);
 
@@ -58,13 +67,17 @@ macro_rules! host_note {
     };
 }
 
-/// Usage line of the figure binaries.
-const CLI_USAGE: &str =
-    "FIGURE [--quick] [--bench NAME] [--nodes N[,N...]] [--jobs N] [--check] [--quiet]";
+/// Usage line of the `figures` binary.
+const CLI_USAGE: &str = "figures --out DIR [FIGURE...] [--quick] [--bench NAME] \
+                         [--nodes N[,N...]] [--jobs N] [--check] [--quiet]";
 
-/// Parsed command-line options shared by every figure binary.
+/// Parsed command line of the `figures` binary.
 #[derive(Debug, Clone)]
 pub struct Cli {
+    /// The figures to render, in order (default: all of [`FIGURES`]).
+    pub figures: Vec<&'static str>,
+    /// The directory the figures are written to.
+    pub out: PathBuf,
     /// Use reduced problem sizes.
     pub quick: bool,
     /// Restrict to one benchmark (case-insensitive).
@@ -93,10 +106,25 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// An unknown flag or benchmark, a flag missing its value, or a node
-    /// count or `--jobs` that is not a positive integer.
+    /// An unknown figure, flag or benchmark, a flag missing its value, a
+    /// node count or `--jobs` that is not a positive integer, or a missing
+    /// `--out`.
     fn from_args(args: &[String]) -> Result<Cli, String> {
-        known_flags(args, &["--quick", "--check", "--quiet"], &["--bench", "--nodes", "--jobs"])?;
+        let names = positionals(
+            args,
+            &["--quick", "--check", "--quiet"],
+            &["--bench", "--nodes", "--jobs", "--out"],
+        )?;
+        let all = FIGURES.map(|(name, _)| name);
+        let find = |name: &String| {
+            let known = all.into_iter().find(|known| name.as_str() == *known);
+            known.ok_or_else(|| format!("unknown figure {name}: expected one of {}", all.join(", ")))
+        };
+        let figures = if names.is_empty() {
+            all.to_vec()
+        } else {
+            names.into_iter().map(find).collect::<Result<_, _>>()?
+        };
         let only = match flag_value(args, "--bench")? {
             Some(name) if by_name(name, true).is_none() => {
                 return Err(format!("unknown benchmark {name}"))
@@ -107,8 +135,11 @@ impl Cli {
             .map(|list| list.split(',').map(|n| positive("--nodes", n)).collect())
             .transpose()?;
         let jobs = flag_value(args, "--jobs")?.map(|n| positive("--jobs", n)).transpose()?;
+        let out = flag_value(args, "--out")?.ok_or("missing --out DIR")?.into();
         let has = |flag: &str| args.iter().any(|a| a == flag);
         Ok(Cli {
+            figures,
+            out,
             quick: has("--quick"),
             only,
             nodes,
@@ -220,22 +251,43 @@ pub fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String
     }
 }
 
-/// Checks that every argument is one of `switches`, or one of `valued`
-/// followed by its value, so a misspelt flag is never silently ignored.
+/// The positional arguments of `args`, in order, after checking that
+/// every other argument is one of `switches`, or one of `valued` followed
+/// by its value, so a misspelt flag is never silently ignored. An
+/// argument is positional when it does not start with `--`.
 ///
 /// # Errors
 ///
-/// The first argument that is neither.
-pub fn known_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+/// The first flag that is neither.
+fn positionals<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Vec<&'a String>, String> {
+    let mut found = Vec::new();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         if valued.contains(&a.as_str()) {
             rest.next();
+        } else if !a.starts_with("--") {
+            found.push(a);
         } else if !switches.contains(&a.as_str()) {
             return Err(format!("unknown argument {a}"));
         }
     }
-    Ok(())
+    Ok(found)
+}
+
+/// `positionals` for a command that takes none.
+///
+/// # Errors
+///
+/// The first argument that is neither a known flag nor its value.
+pub fn known_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+    match positionals(args, switches, valued)?.first() {
+        Some(a) => Err(format!("unknown argument {a}")),
+        None => Ok(()),
+    }
 }
 
 /// `value` parsed as a positive integer of the unsigned type `T`.
@@ -272,82 +324,6 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Memoizing run cache so figures that need the same baselines don't
-/// re-simulate them. Keys are structured ([`RunKey`]), not Debug strings.
-#[derive(Default)]
-pub struct Runner {
-    cache: HashMap<RunKey, RunResult>,
-    check: bool,
-}
-
-impl Runner {
-    /// Creates an empty cache.
-    pub fn new() -> Runner {
-        Runner::default()
-    }
-
-    /// Creates a runner honouring the CLI's `--check` flag: every
-    /// simulation, prewarmed or on-demand, then runs with the protocol
-    /// invariant checker attached, and a violation aborts the figure.
-    pub fn for_cli(cli: &Cli) -> Runner {
-        Runner { cache: HashMap::new(), check: cli.check }
-    }
-
-    /// Executes `plan` across `jobs` threads and absorbs every result into
-    /// the cache. Subsequent [`Runner::run`] calls for those cells are
-    /// cache hits, so the reporting pass stays strictly serial and ordered
-    /// while the simulations use all cores.
-    pub fn prewarm(&mut self, plan: &Plan<'_>, jobs: usize) {
-        let results = plan.execute_opts(jobs, self.check);
-        for (key, result) in plan.keys().zip(results) {
-            self.cache.entry(key).or_insert(result);
-        }
-    }
-
-    /// Runs (or returns the cached result of) `workload` under `spec`.
-    pub fn run(&mut self, workload: &dyn Workload, spec: &RunSpec) -> RunResult {
-        let key = RunKey::new(workload, spec);
-        if let Some(r) = self.cache.get(&key) {
-            return r.clone();
-        }
-        let started = std::time::Instant::now();
-        let r = par::run_cell(workload, spec, self.check);
-        host_note!(
-            "  [ran {} {} @{} CMPs in {:.1}s: {} cycles]",
-            workload.name(),
-            spec.mode,
-            spec.nodes,
-            started.elapsed().as_secs_f64(),
-            r.exec_cycles
-        );
-        self.cache.insert(key, r.clone());
-        r
-    }
-
-    /// Single-mode baseline at `nodes` CMPs.
-    pub fn single(&mut self, w: &dyn Workload, nodes: u16) -> RunResult {
-        self.run(w, &RunSpec::new(nodes, ExecMode::Single))
-    }
-
-    /// Double-mode run at `nodes` CMPs.
-    pub fn double(&mut self, w: &dyn Workload, nodes: u16) -> RunResult {
-        self.run(w, &RunSpec::new(nodes, ExecMode::Double))
-    }
-
-    /// Slipstream run with the given configuration.
-    pub fn slipstream(&mut self, w: &dyn Workload, nodes: u16, slip: SlipstreamConfig) -> RunResult {
-        self.run(w, &RunSpec::new(nodes, ExecMode::Slipstream).with_slip(slip))
-    }
-
-    /// Execution cycles of the better of single and double mode (the
-    /// paper's "next best mode" baseline).
-    pub fn best_conventional(&mut self, w: &dyn Workload, nodes: u16) -> u64 {
-        let s = self.single(w, nodes).exec_cycles;
-        let d = self.double(w, nodes).exec_cycles;
-        s.min(d)
-    }
-}
-
 /// A workload re-labelled with a distinct name.
 ///
 /// The run cache ([`Runner`]) and plan dedup ([`Plan`]) identify
@@ -382,24 +358,6 @@ impl<W: Workload> Workload for Renamed<W> {
     ) -> slipstream_core::TaskBuilderFn {
         self.inner.instantiate(ntasks, layout)
     }
-}
-
-/// Prints a row of `f64` cells after a left-justified label.
-pub fn print_row(label: &str, cells: &[f64]) {
-    print!("{label:<12}");
-    for c in cells {
-        print!(" {c:>8.3}");
-    }
-    println!();
-}
-
-/// Prints a header row.
-pub fn print_header(label: &str, cols: &[String]) {
-    print!("{label:<12}");
-    for c in cols {
-        print!(" {c:>8}");
-    }
-    println!();
 }
 
 #[cfg(test)]
@@ -454,15 +412,18 @@ mod tests {
 
     #[test]
     fn cli_parses_the_figure_flags() {
-        let cli = Cli::from_args(&args("--quick --bench cg --nodes 2,4 --jobs 3 --check --quiet"))
-            .unwrap();
+        let line = "fig9 --quick --bench cg --nodes 2,4 --jobs 3 --check --out d --quiet fig1";
+        let cli = Cli::from_args(&args(line)).unwrap();
         assert!(cli.quick && cli.check && cli.quiet);
+        assert_eq!(cli.figures, ["fig9", "fig1"]);
+        assert_eq!(cli.out, PathBuf::from("d"));
         assert_eq!(cli.only.as_deref(), Some("cg"));
         assert_eq!(cli.nodes, Some(vec![2, 4]));
         assert_eq!(cli.jobs(), 3);
         assert_eq!(cli.suite().len(), 1);
-        let cli = Cli::from_args(&[]).unwrap();
+        let cli = Cli::from_args(&args("--out d")).unwrap();
         assert!(!cli.quick && cli.only.is_none() && cli.nodes.is_none() && cli.jobs.is_none());
+        assert_eq!(cli.figures, FIGURES.map(|(name, _)| name));
         assert_eq!(cli.sweep(), vec![2, 4, 8, 16]);
     }
 
@@ -477,7 +438,8 @@ mod tests {
         assert!(cli_err("--quick --bench").contains("--bench requires a value"));
         assert!(cli_err("--nodes").contains("--nodes requires a value"));
         assert!(cli_err("--bogus").contains("unknown argument --bogus"));
-        assert!(cli_err("--quick fig1").contains("unknown argument fig1"));
+        assert!(cli_err("--out d fig1 fig2").contains("unknown figure fig2: expected one of"));
+        assert!(cli_err("--quick fig1").contains("missing --out DIR"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Parallel sweep executor for the figure binaries.
+//! Parallel sweep executor for the figures.
 //!
 //! Every figure of the paper is a grid of independent simulations
-//! (workload × mode × nodes × slipstream config). A [`Plan`] declares that
-//! grid as a list of cells; [`Plan::execute`] deduplicates cells that
-//! request the same run (shared single/double baselines appear in several
-//! figures), fans the unique runs out over host threads with
+//! (workload × mode × nodes × slipstream config). A [`Plan`] holds the
+//! union of those grids as a list of cells; [`Plan::execute`] deduplicates
+//! cells that request the same run (shared single/double baselines appear
+//! in several figures), fans the unique runs out over host threads with
 //! `std::thread::scope`, and returns results **in plan order** — so output
 //! is deterministic and independent of the number of jobs.
 //!
@@ -12,9 +12,12 @@
 //! reproducible; parallelism exists only between independent runs.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
+use slipstream_check::{run_checked, CheckReport};
 use slipstream_core::{
     run, ExecMode, MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
 };
@@ -66,6 +69,33 @@ impl RunKey {
     }
 }
 
+/// A run the protocol checker rejected (`--check`): the figures must not
+/// be rendered from it.
+#[derive(Debug)]
+pub struct Rejected {
+    /// The rejected run.
+    pub key: RunKey,
+    /// The checker's report, with at least one violation.
+    pub report: CheckReport,
+}
+
+impl fmt::Display for Rejected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let k = &self.key;
+        for v in &self.report.violations {
+            writeln!(f, "{} {v}", k.name)?;
+        }
+        write!(
+            f,
+            "protocol checker rejected {} {} @{} CMPs: {}",
+            k.name,
+            k.mode,
+            k.nodes,
+            self.report.summary()
+        )
+    }
+}
+
 /// A declarative list of `(workload, spec)` simulation cells.
 ///
 /// Cells may repeat (e.g. the single-mode baseline of every figure row);
@@ -86,45 +116,30 @@ impl<'w> Plan<'w> {
         self.cells.push((workload, spec));
     }
 
-    /// Number of cells (including duplicates).
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the plan has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Cells and their dedup keys, in plan order.
     pub fn keys(&self) -> impl Iterator<Item = RunKey> + '_ {
         self.cells.iter().map(|(w, spec)| RunKey::new(*w, spec))
     }
 
     /// Executes the plan on up to `jobs` worker threads and returns one
-    /// result per cell, in plan order.
+    /// result per cell, in plan order. With `check`, every run has the
+    /// coherence invariant checker attached; checked runs are
+    /// bit-identical to unchecked ones.
     ///
     /// Duplicate cells are simulated once and the result is cloned into
     /// each requesting position. Work is handed out through an atomic
     /// cursor, so threads stay busy regardless of per-run cost; the result
     /// order (and every simulated number) is independent of `jobs`.
-    pub fn execute(&self, jobs: usize) -> Vec<RunResult> {
-        self.execute_opts(jobs, false)
-    }
-
-    /// [`Plan::execute`] with the coherence invariant checker optionally
-    /// attached to every run (`--check` on the figure binaries).
     ///
-    /// Checked runs are bit-identical to unchecked ones; a protocol
-    /// violation prints the report and panics, failing the figure loudly
-    /// rather than rendering numbers from a run the checker rejected.
-    pub fn execute_opts(&self, jobs: usize, check: bool) -> Vec<RunResult> {
+    /// # Errors
+    ///
+    /// The first run, in plan order, that the checker rejected.
+    pub fn execute(&self, jobs: usize, check: bool) -> Result<Vec<RunResult>, Box<Rejected>> {
         // Dedup: map every cell to the first cell with the same key.
         let mut first_of: HashMap<RunKey, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new(); // cell index of each unique run
         let mut cell_slot: Vec<usize> = Vec::with_capacity(self.cells.len());
-        for (i, (w, spec)) in self.cells.iter().enumerate() {
-            let key = RunKey::new(*w, spec);
+        for (i, key) in self.keys().enumerate() {
             let slot = *first_of.entry(key).or_insert_with(|| {
                 unique.push(i);
                 unique.len() - 1
@@ -132,10 +147,11 @@ impl<'w> Plan<'w> {
             cell_slot.push(slot);
         }
 
-        let slots: Vec<Mutex<Option<RunResult>>> =
+        let slots: Vec<Mutex<Option<Result<RunResult, CheckReport>>>> =
             unique.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let workers = jobs.max(1).min(unique.len().max(1));
+        let plan_started = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -144,58 +160,59 @@ impl<'w> Plan<'w> {
                         break;
                     }
                     let (w, spec) = &self.cells[unique[u]];
-                    let started = std::time::Instant::now();
-                    let result = run_cell(*w, spec, check);
-                    host_note!(
-                        "  [ran {} {} @{} CMPs in {:.1}s: {} cycles]",
-                        w.name(),
-                        spec.mode,
-                        spec.nodes,
-                        started.elapsed().as_secs_f64(),
-                        result.exec_cycles
-                    );
-                    *slots[u].lock().expect("result slot poisoned") = Some(result);
+                    let started = Instant::now();
+                    let outcome = run_cell(*w, spec, check);
+                    if let Ok(result) = &outcome {
+                        host_note!(
+                            "  [ran {} {} @{} CMPs in {:.1}s: {} cycles]",
+                            w.name(),
+                            spec.mode,
+                            spec.nodes,
+                            started.elapsed().as_secs_f64(),
+                            result.exec_cycles
+                        );
+                    }
+                    *slots[u].lock().expect("result slot poisoned") = Some(outcome);
                 });
             }
         });
+        host_note!(
+            "  [plan: {} runs requested, {} simulated on {workers} threads in {:.1}s]",
+            self.cells.len(),
+            unique.len(),
+            plan_started.elapsed().as_secs_f64()
+        );
 
-        cell_slot
-            .iter()
-            .map(|&slot| {
-                slots[slot]
-                    .lock()
-                    .expect("result slot poisoned")
-                    .clone()
-                    .expect("every unique cell was executed")
+        let results = slots
+            .into_iter()
+            .zip(&unique)
+            .map(|(slot, &i)| {
+                let outcome = slot.into_inner().expect("result slot poisoned");
+                outcome.expect("every unique cell was executed").map_err(|report| {
+                    let (w, spec) = &self.cells[i];
+                    Box::new(Rejected { key: RunKey::new(*w, spec), report })
+                })
             })
-            .collect()
+            .collect::<Result<Vec<RunResult>, _>>()?;
+        Ok(cell_slot.iter().map(|&slot| results[slot].clone()).collect())
     }
 }
 
 /// Runs one cell, with the protocol checker attached when `check` is set.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the checker reports any violation (after printing the full
-/// report to stderr).
-pub(crate) fn run_cell(w: &dyn Workload, spec: &RunSpec, check: bool) -> RunResult {
+/// The checker's report, if it found any violation.
+fn run_cell(w: &dyn Workload, spec: &RunSpec, check: bool) -> Result<RunResult, CheckReport> {
     if !check {
-        return run(w, spec);
+        return Ok(run(w, spec));
     }
-    let (result, report) = slipstream_check::run_checked(w, spec);
-    if !report.ok() {
-        for v in &report.violations {
-            eprintln!("{} {v}", w.name());
-        }
-        panic!(
-            "protocol checker rejected {} {} @{} CMPs: {}",
-            w.name(),
-            spec.mode,
-            spec.nodes,
-            report.summary()
-        );
+    let (result, report) = run_checked(w, spec);
+    if report.ok() {
+        Ok(result)
+    } else {
+        Err(report)
     }
-    result
 }
 
 #[cfg(test)]
@@ -213,7 +230,7 @@ mod tests {
         let keys: Vec<RunKey> = plan.keys().collect();
         assert_eq!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
-        let results = plan.execute(2);
+        let results = plan.execute(2, false).expect("unchecked");
         assert_eq!(results.len(), 3);
         // The duplicate positions carry the same (cloned) result.
         assert_eq!(results[0].exec_cycles, results[1].exec_cycles);
@@ -222,23 +239,23 @@ mod tests {
 
     #[test]
     fn plan_order_is_independent_of_jobs() {
-        fn mk<'w>(plan: &mut Plan<'w>, w: &'w dyn Workload) {
-            plan.add(w, RunSpec::new(2, ExecMode::Single));
-            plan.add(w, RunSpec::new(2, ExecMode::Double));
-            plan.add(w, RunSpec::new(2, ExecMode::Slipstream));
-        }
         let w = by_name("SOR", true).expect("quick SOR");
-        let mut p1 = Plan::new();
-        mk(&mut p1, w.as_ref());
-        let mut p4 = Plan::new();
-        mk(&mut p4, w.as_ref());
-        let serial = p1.execute(1);
-        let parallel = p4.execute(4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.exec_cycles, b.exec_cycles);
-            assert_eq!(a.mem, b.mem);
-            assert_eq!(a.recoveries, b.recoveries);
-        }
+        let mut plan = Plan::new();
+        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single));
+        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Double));
+        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Slipstream));
+        let serial = plan.execute(1, false).expect("unchecked");
+        let parallel = plan.execute(4, false).expect("unchecked");
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn checked_runs_match_unchecked_runs() {
+        let w = by_name("SOR", true).expect("quick SOR");
+        let mut plan = Plan::new();
+        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single));
+        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Slipstream));
+        let checked = plan.execute(2, true).unwrap_or_else(|r| panic!("{r}"));
+        assert_eq!(checked, plan.execute(1, false).expect("unchecked"));
     }
 }

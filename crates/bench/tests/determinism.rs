@@ -47,8 +47,8 @@ fn executor_results_are_independent_of_jobs() {
             );
         }
     }
-    let serial = serial_plan.execute(1);
-    let parallel = parallel_plan.execute(4);
+    let serial = serial_plan.execute(1, false).expect("unchecked runs are never rejected");
+    let parallel = parallel_plan.execute(4, false).expect("unchecked runs are never rejected");
     assert_eq!(serial.len(), parallel.len());
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a.exec_cycles, b.exec_cycles, "cell {i}");
