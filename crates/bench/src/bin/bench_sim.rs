@@ -22,12 +22,13 @@
 //!                     `--compare` (default: 15)
 //!   --quiet           silence progress narration on stderr
 //!
-//! A bad argument prints usage and exits 2.
+//! A bad argument prints usage and exits 2, as does an unreadable
+//! `--compare` baseline or an unwritable `--out`.
 
 use std::time::Instant;
 
-use slipstream_bench::{flag_num, flag_value, host_note, known_flags, set_quiet};
-use slipstream_core::{run, ArSyncMode, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload};
+use slipstream_bench::{flag_num, flag_value, host_note, io_or_exit, known_flags, set_quiet};
+use slipstream_core::{run, RunResult, RunSpec, Workload};
 use slipstream_workloads::quick_suite;
 
 const USAGE: &str =
@@ -71,28 +72,20 @@ struct Measured {
     exec_cycles: u64,
 }
 
-/// The benchmark matrix: every quick-suite workload under every execution
-/// mode (single, double, slipstream, slipstream+si), 4 nodes each, so a
-/// hot-path regression in any mode-specific machinery (pair bookkeeping,
-/// token protocol, self-invalidation sweeps) is visible in the baseline.
+/// The benchmark matrix: every quick-suite workload under every named
+/// execution mode ([`RunSpec::NAMED`]: single, double, slipstream,
+/// slipstream+si), 4 nodes each, so a hot-path regression in any
+/// mode-specific machinery (pair bookkeeping, token protocol,
+/// self-invalidation sweeps) is visible in the baseline.
 fn cases() -> Vec<Case> {
-    let si = SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal);
-    let modes: [(&'static str, &dyn Fn() -> RunSpec); 4] = [
-        ("single", &|| RunSpec::new(4, ExecMode::Single)),
-        ("double", &|| RunSpec::new(4, ExecMode::Double)),
-        ("slipstream", &|| RunSpec::new(4, ExecMode::Slipstream)),
-        ("slipstream+si", &|| {
-            RunSpec::new(4, ExecMode::Slipstream).with_slip(si)
-        }),
-    ];
     let mut out = Vec::new();
-    for (mode, mk_spec) in modes {
+    for mode in RunSpec::NAMED {
         for workload in quick_suite() {
             let tag = workload.name().to_ascii_lowercase().replace('-', "_");
             out.push(Case {
                 name: format!("{tag}_quick_{}_4", mode.replace('+', "_")),
                 workload,
-                spec: mk_spec(),
+                spec: RunSpec::named(mode, 4).expect("named"),
                 mode,
             });
         }
@@ -246,6 +239,9 @@ fn main() {
             std::process::exit(2)
         });
     set_quiet(args.iter().any(|a| a == "--quiet"));
+    let baseline = compare_path
+        .as_ref()
+        .map(|path| (path, io_or_exit("read", path, std::fs::read_to_string(path))));
 
     let measured: Vec<Measured> = cases()
         .iter()
@@ -267,11 +263,9 @@ fn main() {
     let host_cpus =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    if let Some(baseline_path) = &compare_path {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("reading {baseline_path}: {e}"));
+    if let Some((baseline_path, baseline)) = &baseline {
         eprintln!("comparing against {baseline_path} (tolerance {tolerance_pct}%):");
-        let failures = compare(&measured, &baseline, tolerance_pct, host_cpus);
+        let failures = compare(&measured, baseline, tolerance_pct, host_cpus);
         if failures > 0 {
             println!("{failures} run(s) regressed by more than {tolerance_pct}%");
             std::process::exit(1);
@@ -316,7 +310,6 @@ fn main() {
     ));
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json)
-        .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+    io_or_exit("write", &out_path, std::fs::write(&out_path, &json));
     println!("wrote {out_path} ({} runs, {total_events} events)", measured.len());
 }

@@ -14,14 +14,11 @@
 
 use std::process::ExitCode;
 
-use slipstream_bench::{Cli, Figures};
+use slipstream_bench::{io_or_exit, Cli, Figures};
 
 fn main() -> ExitCode {
     let cli = Cli::parse();
-    if let Err(e) = std::fs::create_dir_all(&cli.out) {
-        eprintln!("figures: cannot create {}: {e}", cli.out.display());
-        return ExitCode::from(2);
-    }
+    io_or_exit("create", &cli.out, std::fs::create_dir_all(&cli.out));
     let texts = match Figures::new(&cli).render(&cli.figures, cli.jobs(), cli.check) {
         Ok(texts) => texts,
         Err(rejected) => {
@@ -31,10 +28,7 @@ fn main() -> ExitCode {
     };
     for (name, text) in cli.figures.iter().zip(texts) {
         let path = cli.out.join(format!("{name}.txt"));
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("figures: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+        io_or_exit("write", &path, std::fs::write(&path, text));
     }
     ExitCode::SUCCESS
 }

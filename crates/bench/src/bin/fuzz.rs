@@ -37,20 +37,18 @@
 //!   --quiet      silence per-program progress on stderr
 //!
 //! An explicit `--count` or `--mutants` wins over `--quick`'s sizing. A
-//! bad argument prints usage and exits 2. Every failure is reported; the
-//! exit code is 1 if any stage failed. Reproduce one entry with
+//! bad argument or an unwritable `--json` path exits 2. Every failure is
+//! reported; the exit code is 1 if any stage failed. Reproduce one entry with
 //! `--seed <S> --count <i+1>`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use slipstream_bench::{flag_num, flag_value, known_flags, parse_seed, positive};
+use slipstream_bench::{flag_num, flag_value, io_or_exit, known_flags, parse_seed, positive};
 use slipstream_check::{
     cross_validate_with, run_checked, AnalysisConfig, Severity, ValidationReport,
 };
-use slipstream_core::{
-    run, ArSyncMode, ExecMode, MachineConfig, RunSpec, SlipstreamConfig, Workload,
-};
+use slipstream_core::{run, MachineConfig, RunSpec, Workload};
 use slipstream_gen::corpus::{corpus_entry, mutant_entry, CORPUS_COUNT, CORPUS_SEED};
 use slipstream_gen::{GenWorkload, Mutation};
 
@@ -82,24 +80,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         json: flag_value(args, "--json")?.cloned(),
         quiet: has("--quiet"),
     })
-}
-
-/// The four execution modes of the benchmark matrix.
-fn mode_specs(nodes: u16) -> Vec<(&'static str, RunSpec)> {
-    vec![
-        ("single", RunSpec::new(nodes, ExecMode::Single)),
-        ("double", RunSpec::new(nodes, ExecMode::Double)),
-        (
-            "slipstream",
-            RunSpec::new(nodes, ExecMode::Slipstream)
-                .with_slip(SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal)),
-        ),
-        (
-            "slipstream+si",
-            RunSpec::new(nodes, ExecMode::Slipstream)
-                .with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal)),
-        ),
-    ]
 }
 
 /// Static pipeline: every static pass over both instantiations (the
@@ -186,7 +166,8 @@ fn main() -> ExitCode {
     });
     let cfg = MachineConfig::with_nodes(args.nodes);
     let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
-    let specs = mode_specs(args.nodes);
+    // The four named modes of the benchmark matrix.
+    let specs = RunSpec::NAMED.map(|mode| (mode, RunSpec::named(mode, args.nodes).expect("named")));
     let mut failures: Vec<String> = Vec::new();
     let mut programs: Vec<ProgramReport> = Vec::new();
 
@@ -262,7 +243,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.json {
         let json = render_json(&args, &programs, &mutant_rows, &failures, mutants_caught);
-        std::fs::write(path, json).expect("write json report");
+        io_or_exit("write", path, std::fs::write(path, json));
         if !args.quiet {
             eprintln!("wrote {path}");
         }

@@ -9,8 +9,9 @@
 //! the human-readable summary. `--trace FILE` writes a Chrome
 //! `trace_event` JSON of the run (open in Perfetto); `--metrics FILE`
 //! writes interval-metrics JSONL sampled every `--interval N` cycles
-//! (default 10000). See docs/observability.md.
-use slipstream_bench::{exit_usage, flag_num, flag_value, RunArgs};
+//! (default 10000). A bad argument or an unwritable output file exits 2.
+//! See docs/observability.md.
+use slipstream_bench::{exit_usage, flag_num, flag_value, io_or_exit, RunArgs};
 use slipstream_core::{run_result_json, run_traced, StreamRole, TraceConfig};
 
 const USAGE: &str = "inspect <BENCH> <NODES> <single|double|slip> [--quick] \
@@ -37,11 +38,11 @@ fn main() {
     let (r, trace) = run_traced(w.as_ref(), &spec);
     if let Some(data) = &trace {
         if let Some(path) = &trace_path {
-            std::fs::write(path, data.chrome_trace_json()).expect("write trace file");
+            io_or_exit("write", path, std::fs::write(path, data.chrome_trace_json()));
             eprintln!("wrote {path} ({} events, {} dropped)", data.records.len(), data.dropped);
         }
         if let Some(path) = &metrics_path {
-            std::fs::write(path, data.metrics_jsonl()).expect("write metrics file");
+            io_or_exit("write", path, std::fs::write(path, data.metrics_jsonl()));
             eprintln!("wrote {path} ({} samples)", data.samples.len());
         }
     }

@@ -26,7 +26,7 @@ use slipstream_bench::{parse_seed, positive};
 use slipstream_check::{
     analyze, cross_validate, instantiate_workload, Analysis, AnalysisConfig,
 };
-use slipstream_core::{MachineConfig, Workload};
+use slipstream_core::{ExecMode, RunSpec, Workload};
 use slipstream_gen::corpus::{corpus_entry, CORPUS_COUNT, CORPUS_SEED};
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
@@ -70,7 +70,7 @@ impl Cli {
                 "--tasks" => {
                     cli.tasks = value("--tasks")?
                         .split(',')
-                        .map(|s| positive("--tasks", s.trim()))
+                        .map(|s| positive::<u16>("--tasks", s.trim()).map(usize::from))
                         .collect::<Result<_, _>>()?;
                 }
                 other => {
@@ -82,17 +82,6 @@ impl Cli {
             }
         }
         Ok(cli)
-    }
-}
-
-/// The machine configuration the runner would pick for this workload —
-/// the analyzer only needs its line size and page size.
-fn machine_for(w: &dyn Workload, ntasks: usize) -> MachineConfig {
-    let nodes = ntasks.max(1) as u16;
-    if w.small_l2() {
-        MachineConfig::water(nodes)
-    } else {
-        MachineConfig::with_nodes(nodes)
     }
 }
 
@@ -149,7 +138,9 @@ fn analysis_json(name: &str, ntasks: usize, a: &Analysis) -> String {
 /// Analyze (and optionally validate) one workload at one task count.
 /// Returns false on a validation failure.
 fn run_one(cli: &Cli, w: &dyn Workload, ntasks: usize) -> bool {
-    let cfg = machine_for(w, ntasks);
+    // The machine the runner would simulate: the analyzer only needs its
+    // line size and page size.
+    let cfg = RunSpec::new(ntasks.max(1) as u16, ExecMode::Single).machine_for(w);
     let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     let set = instantiate_workload(w, cfg.page_bytes, ntasks, false);
     let a = analyze(&set, &acfg);

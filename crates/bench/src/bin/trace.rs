@@ -15,8 +15,9 @@
 //! After capturing, the same spec is re-run untraced and the two
 //! [`RunResult`]s are compared; a mismatch means tracing perturbed the
 //! simulation and the process exits nonzero (CI runs this as a smoke
-//! test). See docs/observability.md for the schemas.
-use slipstream_bench::{exit_usage, flag_num, flag_value, RunArgs};
+//! test). A bad argument or an unwritable `--out` exits 2. See
+//! docs/observability.md for the schemas.
+use slipstream_bench::{exit_usage, flag_num, flag_value, io_or_exit, RunArgs};
 use slipstream_core::{run, run_traced, RunSpec, TraceConfig};
 
 const USAGE: &str = "trace <BENCH> <NODES> <single|double|slip> [--quick] \
@@ -37,15 +38,16 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "results/trace".to_string());
 
+    io_or_exit("create", &out_dir, std::fs::create_dir_all(&out_dir));
+
     let cfg = TraceConfig { top_k, ..TraceConfig::full(interval) };
     let spec = spec.with_trace(cfg);
     let (result, data) = run_traced(w.as_ref(), &spec);
     let data = data.expect("trace config is enabled");
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
     let write = |file: &str, contents: String| {
         let path = format!("{out_dir}/{file}");
-        std::fs::write(&path, contents).expect("write output file");
+        io_or_exit("write", &path, std::fs::write(&path, contents));
         println!("wrote {path}");
     };
     write("trace.json", data.chrome_trace_json());

@@ -474,12 +474,10 @@ fn ablation<'f>(r: &mut Runner<'f>, f: &'f Figures) -> String {
     outln!(out, "# Ablation 0: migratory-sharing directory optimization (extension)");
     outln!(out, "{:<12} {:>12} {:>12} {:>8}", "benchmark", "off", "on", "delta%");
     for w in f.suite() {
-        // The paper machine, honoring the workload's small-L2 request,
-        // with the migratory directory optimization switched on.
-        let paper = if w.small_l2() { MachineConfig::water } else { MachineConfig::with_nodes };
-        let mc = MachineConfig { migratory_opt: true, ..paper(nodes) };
+        let single = RunSpec::new(nodes, ExecMode::Single);
+        let mc = MachineConfig { migratory_opt: true, ..single.machine_for(w) };
         let off = r.single(w, nodes).exec_cycles;
-        let on = r.run(w, &RunSpec::new(nodes, ExecMode::Single).with_machine(mc)).exec_cycles;
+        let on = r.run(w, &single.with_machine(mc)).exec_cycles;
         outln!(out, "{:<12} {:>12} {:>12} {:>7.1}%", w.name(), off, on, delta_pct(off, on));
     }
 
@@ -522,7 +520,7 @@ const ABLATION_PTRS: u8 = 1;
 /// node count gets its own 1-node sequential baseline of the *same*
 /// problem size, so the speedups are honest weak-scaling numbers. The
 /// second section switches the directory to `DirScheme::LimitedPointer`
-/// (overflow = broadcast) in the write-heavy single mode, where
+/// (broadcast on overflow) in the write-heavy single mode, where
 /// invalidation fan-out is on the critical path, and reports how protocol
 /// traffic diverges from the default full-map scheme.
 fn fig_scaling<'f>(r: &mut Runner<'f>, f: &'f Figures) -> String {
@@ -562,7 +560,9 @@ fn fig_scaling<'f>(r: &mut Runner<'f>, f: &'f Figures) -> String {
     );
     for (n, w) in &f.scaling {
         let fm = r.single(w, *n);
-        let l = r.run(w, &RunSpec::new(*n, ExecMode::Single).with_dir_scheme(lp));
+        let single = RunSpec::new(*n, ExecMode::Single);
+        let mc = MachineConfig { dir_scheme: lp, ..single.machine_for(w) };
+        let l = r.run(w, &single.with_machine(mc));
         outln!(
             out,
             "{n:<12} {:>12} {:>10} {:>12} {:>10} {:>10} {:>+8.2}%",

@@ -29,7 +29,7 @@
 //! [`Figures::render`] records the runs every selected figure asks for,
 //! executes their union as one [`Plan`], then renders from its results.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -322,6 +322,17 @@ pub fn exit_usage(usage: &str, err: &str) -> ! {
     let names: Vec<String> = quick_suite().iter().map(|w| w.name().to_string()).collect();
     eprintln!("{err}\nusage: {usage}\nbenchmarks: {}", names.join(", "));
     std::process::exit(2);
+}
+
+/// Unwraps `result`, the outcome of trying to `what` (e.g. `"write"`) the
+/// file or directory at `path`. On failure, prints the path and the OS
+/// error on stderr and exits with status 2: an unreadable input or an
+/// unwritable output is a usage error, like a bad flag.
+pub fn io_or_exit<T>(what: &str, path: impl AsRef<Path>, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot {what} {}: {e}", path.as_ref().display());
+        std::process::exit(2)
+    })
 }
 
 /// A workload re-labelled with a distinct name.

@@ -18,54 +18,26 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use slipstream_check::{run_checked, CheckReport};
-use slipstream_core::{
-    run, ExecMode, MachineConfig, RunResult, RunSpec, SlipstreamConfig, Workload,
-};
+use slipstream_core::{run, RunResult, RunSpec, Workload};
 
 use crate::host_note;
 
-/// Structured identity of one simulation cell: everything that influences
-/// the result. Used as the dedup/cache key (replacing the former
-/// `format!("{:?}", …)` string keys, which allocated per lookup and would
-/// silently collide or diverge if a `Debug` impl changed).
+/// Identity of one simulation cell: the workload's name and the whole
+/// [`RunSpec`], so every field that can change a result tells runs apart.
+/// Used as the dedup/cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunKey {
     /// Workload name (workloads are identified by name + the suite's
     /// problem size, which the caller fixes via `--quick`).
     pub name: String,
-    /// CMP count.
-    pub nodes: u16,
-    /// Execution mode.
-    pub mode: ExecMode,
-    /// Slipstream knobs (ignored by the simulator outside slipstream mode,
-    /// but part of the spec, so kept: identical results cached under one
-    /// entry require identical specs).
-    pub slip: SlipstreamConfig,
-    /// Machine override, if any.
-    pub machine: Option<MachineConfig>,
-    /// Private-work batching quantum.
-    pub quantum_cycles: u64,
-    /// Cost of an `Input` op.
-    pub input_cycles: u64,
-    /// Directory scheme override, if any (`None` keeps the machine's
-    /// default full-map directory). Limited-pointer runs change protocol
-    /// traffic, so they must never dedup against full-map runs.
-    pub dir_scheme: Option<slipstream_core::DirScheme>,
+    /// The run.
+    pub spec: RunSpec,
 }
 
 impl RunKey {
     /// The key identifying `workload` run under `spec`.
     pub fn new(workload: &dyn Workload, spec: &RunSpec) -> RunKey {
-        RunKey {
-            name: workload.name().to_string(),
-            nodes: spec.nodes,
-            mode: spec.mode,
-            slip: spec.slip,
-            machine: spec.machine.clone(),
-            quantum_cycles: spec.quantum_cycles,
-            input_cycles: spec.input_cycles,
-            dir_scheme: spec.dir_scheme,
-        }
+        RunKey { name: workload.name().to_string(), spec: spec.clone() }
     }
 }
 
@@ -89,8 +61,8 @@ impl fmt::Display for Rejected {
             f,
             "protocol checker rejected {} {} @{} CMPs: {}",
             k.name,
-            k.mode,
-            k.nodes,
+            k.spec.mode,
+            k.spec.nodes,
             self.report.summary()
         )
     }
@@ -218,23 +190,39 @@ fn run_cell(w: &dyn Workload, spec: &RunSpec, check: bool) -> Result<RunResult, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slipstream_core::{DirScheme, ExecMode, MachineConfig, SlipstreamConfig};
     use slipstream_workloads::by_name;
 
     #[test]
     fn dedup_counts_unique_cells_once() {
         let w = by_name("SOR", true).expect("quick SOR");
+        let single = RunSpec::new(2, ExecMode::Single);
+        let paper = single.machine_for(w.as_ref());
+        let migratory = MachineConfig { migratory_opt: true, ..paper.clone() };
+        let limited = MachineConfig { dir_scheme: DirScheme::limited(1), ..paper };
+        let capped = SlipstreamConfig { max_tokens: 1, ..SlipstreamConfig::default() };
         let mut plan = Plan::new();
-        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single));
-        plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Single)); // duplicate
+        plan.add(w.as_ref(), single.clone());
+        plan.add(w.as_ref(), single.clone()); // duplicate
         plan.add(w.as_ref(), RunSpec::new(2, ExecMode::Double));
+        // Each differs from the single-mode cell in one field only.
+        plan.add(w.as_ref(), single.clone().with_machine(migratory));
+        plan.add(w.as_ref(), single.clone().with_machine(limited));
+        plan.add(w.as_ref(), single.with_slip(capped));
         let keys: Vec<RunKey> = plan.keys().collect();
         assert_eq!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
+        for (i, a) in keys.iter().enumerate().skip(1) {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b, "cells {i} and later must have distinct keys");
+            }
+        }
         let results = plan.execute(2, false).expect("unchecked");
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 6);
         // The duplicate positions carry the same (cloned) result.
         assert_eq!(results[0].exec_cycles, results[1].exec_cycles);
         assert_eq!(results[0].mem, results[1].mem);
+        assert_eq!(results[5], results[0], "single mode ignores the token cap");
+        assert!(results[4].mem.broadcast_invalidations > 0, "1 pointer overflows on SOR");
     }
 
     #[test]

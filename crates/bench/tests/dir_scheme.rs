@@ -14,21 +14,21 @@
 //!    run to completion under the checker.
 
 use slipstream_core::{
-    run, ArSyncMode, DirScheme, ExecMode, RunResult, RunSpec, SlipstreamConfig, Workload,
+    run, ArSyncMode, DirScheme, ExecMode, MachineConfig, RunResult, RunSpec, SlipstreamConfig,
+    Workload,
 };
 use slipstream_workloads::{by_name, quick_suite, Sor};
 
-/// The four execution modes of the benchmark matrix (`bench_sim`'s
+/// The named execution mode `mode` of the benchmark matrix (`bench_sim`'s
 /// `cases`), at `nodes` CMPs.
 fn mode_spec(mode: &str, nodes: u16) -> RunSpec {
-    match mode {
-        "single" => RunSpec::new(nodes, ExecMode::Single),
-        "double" => RunSpec::new(nodes, ExecMode::Double),
-        "slipstream" => RunSpec::new(nodes, ExecMode::Slipstream),
-        "slipstream+si" => RunSpec::new(nodes, ExecMode::Slipstream)
-            .with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal)),
-        other => panic!("unknown mode {other}"),
-    }
+    RunSpec::named(mode, nodes).unwrap_or_else(|| panic!("unknown mode {mode}"))
+}
+
+/// `spec` on its own machine with the directory scheme `scheme`.
+fn with_scheme(w: &dyn Workload, spec: &RunSpec, scheme: DirScheme) -> RunSpec {
+    let machine = MachineConfig { dir_scheme: scheme, ..spec.machine_for(w) };
+    spec.clone().with_machine(machine)
 }
 
 /// Simulated cycle counts of the quick benchmark matrix *before* the
@@ -105,7 +105,7 @@ fn unoverflowed_limited_pointer_matches_full_map() {
         for mode in ["single", "slipstream+si"] {
             let spec = mode_spec(mode, 4);
             let a = run(w.as_ref(), &spec);
-            let b = run(w.as_ref(), &spec.clone().with_dir_scheme(lp));
+            let b = run(w.as_ref(), &with_scheme(w.as_ref(), &spec, lp));
             assert_results_identical(&a, &b, &format!("{} {mode}", w.name()));
         }
     }
@@ -133,7 +133,7 @@ fn overflowing_limited_pointer_diverges_but_stays_coherent() {
     let w = by_name("SOR", true).expect("quick SOR");
     let spec = RunSpec::new(8, ExecMode::Single);
     let full = run(w.as_ref(), &spec);
-    let lp = run_checked(w.as_ref(), &spec.clone().with_dir_scheme(DirScheme::limited(1)));
+    let lp = run_checked(w.as_ref(), &with_scheme(w.as_ref(), &spec, DirScheme::limited(1)));
     assert!(
         lp.mem.broadcast_invalidations > 0,
         "1-pointer SOR at 8 nodes should overflow into broadcasts"

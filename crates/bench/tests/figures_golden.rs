@@ -46,7 +46,8 @@ fn quick_figures_match_golden() {
 }
 
 /// An unknown figure and a missing `--out` are usage errors, caught
-/// before anything is simulated.
+/// before anything is simulated; so is an output path that cannot be
+/// written, on every binary that writes one.
 #[test]
 fn usage_errors_exit_2() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_usage");
@@ -54,5 +55,20 @@ fn usage_errors_exit_2() {
     for args in [&["--quick", "--out", out, "fig2"][..], &["--quick", "fig1"]] {
         let status = figures(args).stderr(Stdio::null()).status().expect("figures runs");
         assert_eq!(status.code(), Some(2), "figures {args:?}");
+    }
+    let unwritable = [
+        (env!("CARGO_BIN_EXE_trace"), &["SOR", "2", "slip", "--quick", "--out", "/dev/null/x"][..]),
+        (
+            env!("CARGO_BIN_EXE_inspect"),
+            &["SOR", "2", "slip", "--quick", "--trace", "/nonexistent/dir/t.json"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fuzz"),
+            &["--count", "0", "--mutants", "0", "--json", "/nonexistent/dir/r.json"],
+        ),
+    ];
+    for (bin, args) in unwritable {
+        let run = Command::new(bin).args(args).stdout(Stdio::null()).stderr(Stdio::null()).status();
+        assert_eq!(run.expect("binary runs").code(), Some(2), "{bin} {args:?}");
     }
 }

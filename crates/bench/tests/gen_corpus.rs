@@ -6,7 +6,7 @@
 //! suite).
 
 use slipstream_check::run_checked;
-use slipstream_core::{run, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
+use slipstream_core::{run, RunSpec, Workload};
 use slipstream_gen::corpus::{corpus_entry, CORPUS_SEED};
 use slipstream_gen::Pattern;
 
@@ -15,21 +15,9 @@ fn slice() -> Vec<slipstream_gen::GenWorkload> {
     (0..2 * Pattern::ALL.len()).map(|i| corpus_entry(CORPUS_SEED, i)).collect()
 }
 
-fn mode_specs(nodes: u16) -> Vec<(&'static str, RunSpec)> {
-    vec![
-        ("single", RunSpec::new(nodes, ExecMode::Single)),
-        ("double", RunSpec::new(nodes, ExecMode::Double)),
-        (
-            "slipstream",
-            RunSpec::new(nodes, ExecMode::Slipstream)
-                .with_slip(SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal)),
-        ),
-        (
-            "slipstream+si",
-            RunSpec::new(nodes, ExecMode::Slipstream)
-                .with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal)),
-        ),
-    ]
+/// The named execution modes at `nodes` CMPs.
+fn mode_specs(nodes: u16) -> [(&'static str, RunSpec); 4] {
+    RunSpec::NAMED.map(|mode| (mode, RunSpec::named(mode, nodes).expect("named")))
 }
 
 /// Checked runs over the corpus slice: zero protocol violations, and the

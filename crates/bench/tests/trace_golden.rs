@@ -10,8 +10,8 @@
 
 use slipstream_check::run_checked;
 use slipstream_core::{
-    run, run_traced, ArSyncMode, DirScheme, ExecMode, RunSpec, SlipstreamConfig, TraceConfig,
-    Workload,
+    run, run_traced, ArSyncMode, DirScheme, ExecMode, MachineConfig, RunSpec, SlipstreamConfig,
+    TraceConfig, Workload,
 };
 use slipstream_gen::{GenWorkload, Pattern, PatternSpec};
 use slipstream_kernel::SplitMix64;
@@ -75,9 +75,10 @@ fn trace_exports_match_golden() {
     let diverge_spec = PatternSpec::sample(Pattern::DivergeLaced, &mut SplitMix64::new(seed));
     let diverge = GenWorkload::new(diverge_spec, seed);
     let cg = slipstream_workloads::by_name("CG", true).expect("CG quick workload");
-    let cg_si = slip(4)
-        .with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal))
-        .with_dir_scheme(DirScheme::limited(1));
+    let cg_si =
+        slip(4).with_slip(SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal));
+    let limited = MachineConfig { dir_scheme: DirScheme::limited(1), ..cg_si.machine_for(&*cg) };
+    let cg_si = cg_si.with_machine(limited);
 
     let actual = [
         cell("SOR@8/slip", sor.as_ref(), slip(8), &["\"ev\":\"miss\"", "\"ev\":\"barrier_arrive\""]),

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use slipstream_check::{has_errors, run_checked, ProtoRule, Rule, Severity};
-use slipstream_core::{ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
+use slipstream_core::{RunSpec, Workload};
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
 struct Cli {
@@ -67,7 +67,7 @@ impl Cli {
                 "--tasks" => {
                     cli.tasks = value("--tasks")?
                         .split(',')
-                        .map(|s| positive("--tasks", s.trim()))
+                        .map(|s| positive::<u16>("--tasks", s.trim()).map(usize::from))
                         .collect::<Result<_, _>>()?;
                 }
                 other => {
@@ -148,22 +148,12 @@ fn static_lint(cli: &Cli) -> Result<bool, String> {
 }
 
 fn dynamic(cli: &Cli) -> Result<bool, String> {
-    let (mode, slip) = match cli.mode.as_str() {
-        "single" => (ExecMode::Single, SlipstreamConfig::default()),
-        "double" => (ExecMode::Double, SlipstreamConfig::default()),
-        "slipstream" => (
-            ExecMode::Slipstream,
-            SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal),
-        ),
-        "slipstream+si" => (
-            ExecMode::Slipstream,
-            SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal),
-        ),
-        other => return Err(format!("unknown --mode {other}")),
+    let Some(spec) = RunSpec::named(&cli.mode, cli.nodes) else {
+        let names = RunSpec::NAMED.join(", ");
+        return Err(format!("unknown --mode {}: expected one of {names}", cli.mode));
     };
     let mut clean = true;
     for w in cli.suite()? {
-        let spec = RunSpec::new(cli.nodes, mode).with_slip(slip);
         let (result, report) = run_checked(w.as_ref(), &spec);
         if cli.json {
             for v in &report.violations {

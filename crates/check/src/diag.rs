@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use slipstream_core::json_escape;
+
 /// How bad a finding is. `Error` findings fail the `check` binary;
 /// `Warning` findings are reported but do not affect the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -431,23 +433,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// True when any diagnostic has `Error` severity (the `check` binary's
 /// exit criterion).
 pub fn has_errors(diags: &[Diagnostic]) -> bool {
@@ -473,11 +458,6 @@ mod tests {
         assert!(json.contains("\"task\":1"));
         assert!(json.contains("\"op_index\":42"));
         assert!(json.contains("\"addr\":4160"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use analysis::{
     SharingClass, TrafficBounds,
 };
 pub use contract::{verify_contract, ContractItem, PatternContract};
-pub use diag::{has_errors, json_escape, Diagnostic, Rule, Severity};
+pub use diag::{has_errors, Diagnostic, Rule, Severity};
 pub use predict::{
     cross_validate, cross_validate_with, BoundCheck, RegionDelta, SharingObserver,
     ValidationReport,
@@ -55,9 +55,10 @@ pub use protocol::{
 };
 pub use verify::{verify_layout, verify_pair, verify_tasks, TaskProgram};
 
-use slipstream_core::Workload;
-use slipstream_kernel::config::MachineConfig;
-use slipstream_prog::{InstanceId, Layout};
+pub use slipstream_core::json_escape;
+
+use slipstream_core::{instantiate, ExecMode, RunSpec, StreamRole, Workload};
+use slipstream_prog::Layout;
 
 /// A workload's instantiated task programs, in the runner's layout.
 ///
@@ -76,42 +77,34 @@ pub struct TaskSet {
 }
 
 /// Instantiates a workload's task programs exactly the way the runner
-/// would for a run with `ntasks` tasks.
+/// would for a run with `ntasks` tasks, through
+/// [`slipstream_core::instantiate`].
 ///
-/// * `slipstream == false` — a conventional task set: instance `t` runs
-///   task `t` (covers both `Single` with `ntasks == nodes` and `Double`
-///   with `ntasks == 2 * nodes`).
-/// * `slipstream == true` — task `t`'s R-stream is instance `2t` and its
-///   A-stream instance `2t+1`, built in the runner's order (R then A per
-///   task) so private regions land at the same addresses the simulator
-///   would use.
+/// * `slipstream == false` — a conventional task set, instantiated as a
+///   single-mode run on `ntasks` CMPs: instance `t` runs task `t` (this
+///   also covers double mode, whose `2 * nodes` tasks get the same
+///   instances).
+/// * `slipstream == true` — a slipstream run on `ntasks` CMPs, whose R-
+///   and A-stream programs go to `r` and `a`.
+///
+/// # Panics
+///
+/// If `ntasks` exceeds `u16::MAX`, the largest machine there is.
 pub fn instantiate_workload(
     workload: &dyn Workload,
     page_bytes: u64,
     ntasks: usize,
     slipstream: bool,
 ) -> TaskSet {
-    let mut layout = Layout::with_page_size(page_bytes);
-    let builder = workload.instantiate(ntasks, &mut layout);
-    if !slipstream {
-        let r: Vec<TaskProgram> = (0..ntasks)
-            .map(|t| {
-                let inst = InstanceId(t as u32);
-                TaskProgram { task: t, inst, prog: builder(&mut layout, inst, t) }
-            })
-            .collect();
-        TaskSet { layout, r, a: Vec::new() }
-    } else {
-        let mut r = Vec::with_capacity(ntasks);
-        let mut a = Vec::with_capacity(ntasks);
-        for t in 0..ntasks {
-            let r_inst = InstanceId(2 * t as u32);
-            r.push(TaskProgram { task: t, inst: r_inst, prog: builder(&mut layout, r_inst, t) });
-            let a_inst = InstanceId(2 * t as u32 + 1);
-            a.push(TaskProgram { task: t, inst: a_inst, prog: builder(&mut layout, a_inst, t) });
-        }
-        TaskSet { layout, r, a }
+    let mode = if slipstream { ExecMode::Slipstream } else { ExecMode::Single };
+    let nodes = u16::try_from(ntasks).expect("at most u16::MAX tasks, one per 16-bit node id");
+    let (layout, streams) = instantiate(workload, mode, nodes, page_bytes);
+    let (mut r, mut a) = (Vec::with_capacity(ntasks), Vec::new());
+    for s in streams {
+        let tp = TaskProgram { task: s.task, inst: s.inst, prog: s.prog };
+        if s.role == StreamRole::A { a.push(tp) } else { r.push(tp) }
     }
+    TaskSet { layout, r, a }
 }
 
 /// Runs the full static analysis over an instantiated task set: layout
@@ -127,43 +120,17 @@ pub fn verify_task_set(set: &TaskSet) -> Vec<Diagnostic> {
 }
 
 /// Statically verifies one workload's generated programs for a run with
-/// `ntasks` tasks under an explicit machine configuration.
+/// `ntasks` tasks, on the machine the runner would simulate at `ntasks`
+/// CMPs ([`RunSpec::machine_for`]).
 ///
-/// Mirrors the runner's instantiation conventions exactly (page size from
-/// `cfg`, instance-id assignment per mode):
-///
-/// * `slipstream == false` — a conventional task set: instance `t` runs
-///   task `t` (covers both `Single` with `ntasks == nodes` and `Double`
-///   with `ntasks == 2 * nodes`). The full happens-before analysis runs
-///   over all tasks.
-/// * `slipstream == true` — task `t`'s R-stream is instance `2t` and its
-///   A-stream instance `2t+1`. The R set gets the full analysis; each
-///   A program is additionally checked for private isolation and for
+/// * `slipstream == false` — a conventional task set: the full
+///   happens-before analysis runs over all tasks.
+/// * `slipstream == true` — the R set gets the full analysis; each A
+///   program is additionally checked for private isolation and for
 ///   skeleton identity with its R program (rule `SC012`), which is what
 ///   licenses the A-stream to run ahead.
-pub fn verify_workload_with(
-    cfg: &MachineConfig,
-    workload: &dyn Workload,
-    ntasks: usize,
-    slipstream: bool,
-) -> Vec<Diagnostic> {
-    verify_task_set(&instantiate_workload(workload, cfg.page_bytes, ntasks, slipstream))
-}
-
-/// Statically verifies one workload's generated programs for a run with
-/// `ntasks` tasks, deriving the machine configuration the same way the
-/// runner does when no override is given (`MachineConfig::water` when the
-/// workload wants a small L2, the default otherwise).
-///
-/// Workloads that run under an explicit `MachineConfig` — generated
-/// programs in particular — should use [`verify_workload_with`] so the
-/// page size matches their run configuration.
 pub fn verify_workload(workload: &dyn Workload, ntasks: usize, slipstream: bool) -> Vec<Diagnostic> {
     let nodes = ntasks.max(1) as u16;
-    let cfg = if workload.small_l2() {
-        MachineConfig::water(nodes)
-    } else {
-        MachineConfig::with_nodes(nodes)
-    };
-    verify_workload_with(&cfg, workload, ntasks, slipstream)
+    let cfg = RunSpec::new(nodes, ExecMode::Single).machine_for(workload);
+    verify_task_set(&instantiate_workload(workload, cfg.page_bytes, ntasks, slipstream))
 }

@@ -285,16 +285,11 @@ pub fn cross_validate_with(
     }
 }
 
-/// Cross-validates with the machine configuration the runner would derive
-/// (`MachineConfig::water` for small-L2 workloads, the default otherwise)
-/// and the default [`AnalysisConfig`] at the machine's line size.
+/// Cross-validates on the machine the runner would simulate
+/// ([`RunSpec::machine_for`]) with the default [`AnalysisConfig`] at the
+/// machine's line size.
 pub fn cross_validate(workload: &dyn Workload, ntasks: usize) -> ValidationReport {
-    let nodes = ntasks.max(1) as u16;
-    let cfg = if workload.small_l2() {
-        MachineConfig::water(nodes)
-    } else {
-        MachineConfig::with_nodes(nodes)
-    };
+    let cfg = RunSpec::new(ntasks.max(1) as u16, ExecMode::Single).machine_for(workload);
     let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     cross_validate_with(&cfg, workload, ntasks, &acfg)
 }

@@ -30,11 +30,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use slipstream_core::{RunResult, RunSpec, Workload};
+use slipstream_core::{json_escape, RunResult, RunSpec, Workload};
 use slipstream_kernel::{Cycle, FxHashMap, LineAddr, NodeId, SharerSet};
 use slipstream_mem::{MemObs, MemTracer, TracePerm};
-
-use crate::diag::json_escape;
 
 /// The dynamic checker's rule catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

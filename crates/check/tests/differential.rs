@@ -5,28 +5,11 @@
 //! must report zero violations on healthy runs.
 
 use slipstream_check::run_checked;
-use slipstream_core::{run, ArSyncMode, ExecMode, RunSpec, SlipstreamConfig};
+use slipstream_core::{run, RunSpec};
 use slipstream_workloads::{by_name, quick_suite};
 
-fn spec_for(mode: &str, nodes: u16) -> RunSpec {
-    let (mode, slip) = match mode {
-        "single" => (ExecMode::Single, SlipstreamConfig::default()),
-        "double" => (ExecMode::Double, SlipstreamConfig::default()),
-        "slipstream" => (
-            ExecMode::Slipstream,
-            SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal),
-        ),
-        "slipstream+si" => (
-            ExecMode::Slipstream,
-            SlipstreamConfig::with_self_invalidation(ArSyncMode::OneTokenGlobal),
-        ),
-        other => panic!("unknown mode {other}"),
-    };
-    RunSpec::new(nodes, mode).with_slip(slip)
-}
-
 fn assert_differential(w: &dyn slipstream_core::Workload, mode: &str, nodes: u16) {
-    let spec = spec_for(mode, nodes);
+    let spec = RunSpec::named(mode, nodes).expect("a named mode");
     let plain = run(w, &spec);
     let (checked, report) = run_checked(w, &spec);
     assert!(
@@ -67,7 +50,7 @@ fn quick_suite_slipstream_si_is_unperturbed_and_clean() {
 fn all_modes_are_unperturbed_and_clean() {
     for name in ["CG", "MG", "SP", "WATER-SP"] {
         let w = by_name(name, true).expect("quick workload");
-        for mode in ["single", "double", "slipstream", "slipstream+si"] {
+        for mode in RunSpec::NAMED {
             assert_differential(w.as_ref(), mode, 2);
         }
     }

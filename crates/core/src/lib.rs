@@ -14,9 +14,12 @@
 //! The crate provides:
 //!
 //! * [`Workload`] — how applications describe their parallel kernels;
-//! * [`Machine`] — the full-machine simulator driving processors, the
-//!   memory system, and the slipstream runtime;
-//! * [`run`] / [`RunSpec`] — one-call experiment execution;
+//! * [`RunSpec`] — the one description of a run: it resolves to the
+//!   simulated machine ([`RunSpec::machine_for`]) and, with
+//!   [`instantiate`], to the placed task programs (Figure 2);
+//! * [`run`] — one-call experiment execution on the full-machine
+//!   simulator (processors, the memory system, and the slipstream
+//!   runtime);
 //! * [`RunResult`] / [`TimeBreakdown`] — the measurements used to
 //!   regenerate every figure of the paper.
 //!
@@ -59,19 +62,20 @@ mod stream;
 mod trace;
 mod workload;
 
-pub use machine::Machine;
 pub use report::{RunResult, StreamReport, TimeBreakdown};
-pub use runner::{run, run_full_with_tracer, run_sequential, run_traced, RunSpec};
+pub use runner::{
+    instantiate, run, run_full_with_tracer, run_sequential, run_traced, PlacedStream, RunSpec,
+};
 pub use stream::{BlockKind, StreamState};
 pub use trace::{
-    run_result_json, AccessCounts, IntervalSample, LineCounters, TraceConfig, TraceData,
-    TraceKind, TraceRecord,
+    json_escape, run_result_json, AccessCounts, IntervalSample, LineCounters, TraceConfig,
+    TraceData, TraceKind, TraceRecord,
 };
 pub use workload::{TaskBuilderFn, Workload};
 
 // Re-exports so downstream crates can configure runs without importing the
 // whole stack.
 pub use slipstream_kernel::config::{
-    ArSyncMode, DirScheme, ExecMode, MachineConfig, OverflowPolicy, SlipstreamConfig,
+    ArSyncMode, DirScheme, ExecMode, MachineConfig, SlipstreamConfig,
 };
 pub use slipstream_mem::{ClassCounts, MemStats, RequestClass, StreamRole};

@@ -8,8 +8,24 @@ use slipstream_mem::{
 use slipstream_prog::{Op, ProgramIter, Space};
 
 use crate::report::{RunResult, StreamReport};
+use crate::runner::RunSpec;
 use crate::stream::{BlockKind, PairState, StreamExec, StreamState};
-use crate::trace::{IntervalSample, TraceConfig, TraceData, TraceKind, TraceState};
+use crate::trace::{IntervalSample, TraceData, TraceKind, TraceState};
+
+/// Maximum ops a processor may execute between globally visible events:
+/// bounds the window in which a batched private L1 hit could miss a
+/// concurrent back-invalidation (DESIGN.md §8).
+const QUANTUM_OPS: u32 = 64;
+/// Maximum cycles a processor may batch private work ahead of global time
+/// (DESIGN.md §8).
+const QUANTUM_CYCLES: u64 = 200;
+/// Cost of an `Input` operation (system call / I/O) in the R-stream.
+const INPUT_CYCLES: u64 = 500;
+/// Cycles for the R-stream to kill and refork a deviated A-stream (task
+/// creation model; §3.2).
+const REFORK_PENALTY: u64 = 2_000;
+/// Sessions per sampling window of the adaptive A-R selector (§6).
+const ADAPT_WINDOW: u64 = 6;
 
 /// Global simulation events: memory-system internals plus processor
 /// resumptions. `epoch` guards against stale resumes after an A-stream is
@@ -39,11 +55,9 @@ enum Step {
 
 /// The assembled machine: processors executing task programs over the
 /// memory system, under one of the three execution modes of Figure 2.
-///
-/// Constructed by [`crate::run`]; use that unless you are building custom
-/// placements.
+/// Built and run by [`crate::run`].
 #[derive(Debug)]
-pub struct Machine {
+pub(crate) struct Machine {
     cfg: MachineConfig,
     slip: SlipstreamConfig,
     mode: ExecMode,
@@ -55,10 +69,6 @@ pub struct Machine {
     /// cpu.flat(2) -> stream index.
     cpu_map: Vec<Option<usize>>,
     recoveries: u64,
-    /// Maximum cycles a CPU may run ahead of global time inside a quantum.
-    quantum_cycles: u64,
-    /// Cost of an `Input` (system call / I/O) operation for the R-stream.
-    input_cycles: u64,
     name: String,
     nodes: u16,
     tasks: usize,
@@ -81,26 +91,20 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Assembles a machine from pre-built streams. `pairs` links R/A
-    /// stream indices in slipstream mode (empty otherwise).
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a machine for a run of `spec` from pre-built streams.
+    /// `pairs` links R/A stream indices in slipstream mode (empty
+    /// otherwise).
     pub(crate) fn assemble(
         name: String,
         cfg: MachineConfig,
-        slip: SlipstreamConfig,
-        mode: ExecMode,
+        spec: &RunSpec,
         mut mem: MemSystem,
         streams: Vec<StreamExec>,
         pairs: Vec<PairState>,
-        quantum_cycles: u64,
-        input_cycles: u64,
-        tasks: usize,
-        trace_cfg: TraceConfig,
-        fastpath: bool,
         extra_tracer: Option<Box<dyn MemTracer>>,
     ) -> Machine {
-        let trace = trace_cfg.enabled().then(|| {
-            let (state, recorder) = TraceState::new(trace_cfg);
+        let trace = spec.trace.enabled().then(|| {
+            let (state, recorder) = TraceState::new(spec.trace);
             mem.add_tracer(Box::new(recorder));
             state
         });
@@ -114,6 +118,7 @@ impl Machine {
             cpu_map[slot] = Some(i);
         }
         let nodes = cfg.nodes;
+        let tasks = streams.iter().filter(|s| s.role != StreamRole::A).count();
         let epochs = vec![0; streams.len()];
         // Every stream keeps a handful of events in flight (a resume plus a
         // few memory-system events); reserve up front so the steady-state
@@ -121,8 +126,8 @@ impl Machine {
         let q = EventQueue::with_capacity(streams.len() * 8 + 64);
         Machine {
             cfg,
-            slip,
-            mode,
+            slip: spec.slip,
+            mode: spec.mode,
             mem,
             q,
             streams,
@@ -130,33 +135,26 @@ impl Machine {
             pairs,
             cpu_map,
             recoveries: 0,
-            quantum_cycles,
-            input_cycles,
             name,
             nodes,
             tasks,
             trace,
-            fastpath,
+            fastpath: spec.fastpath,
             host_events: 0,
         }
     }
 
-    /// Runs the machine to completion and reports the results.
+    /// Runs the machine to completion and reports the results, plus the
+    /// collected [`TraceData`] when the run's [`crate::TraceConfig`]
+    /// enables any collection. The [`RunResult`] is bit-identical to an
+    /// untraced run: tracing is observation only.
     ///
     /// # Panics
     ///
     /// Panics if the run deadlocks (streams blocked with an empty event
     /// queue) or the memory system fails its quiescence check — both
     /// indicate bugs, not valid results.
-    pub fn run(self) -> RunResult {
-        self.run_traced().0
-    }
-
-    /// Runs the machine to completion, additionally returning the
-    /// collected [`TraceData`] when the machine was assembled with an
-    /// enabled [`TraceConfig`]. The [`RunResult`] is bit-identical to an
-    /// untraced run: tracing is observation only.
-    pub fn run_traced(mut self) -> (RunResult, Option<TraceData>) {
+    pub(crate) fn run_traced(mut self) -> (RunResult, Option<TraceData>) {
         // A-streams start first: at equal timestamps the reduced stream
         // must get to run ahead, or an R-stream with an empty first session
         // would misread it as deviated before it ever executed.
@@ -358,7 +356,7 @@ impl Machine {
                 }
             };
             // Globally visible ops execute at their exact time; private
-            // work may run up to a quantum ahead (see DESIGN.md §7).
+            // work may run up to a quantum ahead (see DESIGN.md §8).
             let exact = match op {
                 Op::Load { space: Space::Shared, .. } | Op::Store { space: Space::Shared, .. } => {
                     true
@@ -388,7 +386,7 @@ impl Machine {
                 }
                 Step::Blocked => return,
             }
-            if ops >= self.cfg.quantum_ops || (local - now).raw() >= self.quantum_cycles {
+            if ops >= QUANTUM_OPS || (local - now).raw() >= QUANTUM_CYCLES {
                 if allow_inline && self.inline_resume(local) {
                     now = local;
                     ops = 0;
@@ -524,7 +522,7 @@ impl Machine {
                         self.pairs[p].r_inputs_done += 1;
                         self.wake_a_if(p, StreamState::WaitInput, at);
                     }
-                    Step::Continue(self.input_cycles)
+                    Step::Continue(INPUT_CYCLES)
                 }
             }
         }
@@ -647,7 +645,7 @@ impl Machine {
                 StreamState::Ready => {}
                 StreamState::Done => unreachable!("deviation check excludes finished A-streams"),
             }
-            let restart = now + self.slip.refork_penalty;
+            let restart = now + REFORK_PENALTY;
             if restart >= a.frontier {
                 a.breakdown.ar_sync += restart.since(a.frontier).raw();
             } else {
@@ -671,18 +669,17 @@ impl Machine {
         // Invalidate any in-flight resume/completion for the old A-stream.
         self.epochs[a_idx] += 1;
         let epoch = self.epochs[a_idx];
-        self.q.push(now + self.slip.refork_penalty, Ev::Resume { stream: a_idx, epoch });
+        self.q.push(now + REFORK_PENALTY, Ev::Resume { stream: a_idx, epoch });
     }
 
     /// Advances the adaptive A-R sampler (§6): once the current window has
-    /// run `adapt_window` sessions, score it by elapsed cycles and move to
+    /// run [`ADAPT_WINDOW`] sessions, score it by elapsed cycles and move to
     /// the next method — or, after all four, lock in the fastest.
     fn adapt_step(&mut self, p: usize, now: Cycle) {
-        let window = self.slip.adapt_window.max(1);
         let pair = &mut self.pairs[p];
         let Some(adapt) = pair.adapt.as_mut() else { return };
         adapt.sessions += 1;
-        if adapt.sessions < window {
+        if adapt.sessions < ADAPT_WINDOW {
             return;
         }
         let elapsed = now.since(adapt.window_start).raw();

@@ -145,7 +145,7 @@ pub(crate) struct PairState {
 }
 
 /// Sampling state for dynamic A-R method selection (§6 of the paper):
-/// run `adapt_window` sessions under each method, score by elapsed
+/// run `ADAPT_WINDOW` sessions under each method, score by elapsed
 /// cycles, keep the fastest.
 #[derive(Debug)]
 pub(crate) struct AdaptState {

@@ -42,7 +42,7 @@ use crate::report::RunResult;
 
 /// What to collect during a run. The default is everything off; the
 /// simulation then takes the exact same path as before this module existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceConfig {
     /// Record typed event records (misses, fills, directory transitions,
     /// SI traffic, sync operations, recoveries).
@@ -725,7 +725,7 @@ fn record_json(out: &mut String, r: &TraceRecord) {
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -751,7 +751,7 @@ pub fn run_result_json(r: &RunResult) -> String {
         out,
         "{{\"name\":\"{}\",\"mode\":\"{}\",\"nodes\":{},\"tasks\":{},\
          \"exec_cycles\":{},\"recoveries\":{},\"host_events\":{},\"streams\":[",
-        escape_json(&r.name),
+        json_escape(&r.name),
         r.mode,
         r.nodes,
         r.tasks,
@@ -1042,8 +1042,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

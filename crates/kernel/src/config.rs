@@ -210,16 +210,11 @@ pub struct SlipstreamConfig {
     /// Peak rate of self-invalidation processing: one line per this many
     /// cycles (the paper uses 4).
     pub si_interval: u64,
-    /// Cost in cycles for the R-stream to kill and refork a deviated
-    /// A-stream (task creation model; §3.2).
-    pub refork_penalty: u64,
     /// Dynamically select the A-R synchronization method (the paper's §6
     /// future work: "varying the scheme dynamically during program
-    /// execution"): each pair samples all four methods for
-    /// `adapt_window` sessions apiece, then locks in the fastest.
+    /// execution"): each pair samples all four methods for a fixed window
+    /// of sessions apiece, then locks in the fastest.
     pub ar_adaptive: bool,
-    /// Sessions per sampling window in adaptive mode.
-    pub adapt_window: u64,
 }
 
 impl Default for SlipstreamConfig {
@@ -231,9 +226,7 @@ impl Default for SlipstreamConfig {
             transparent_loads: false,
             self_invalidation: false,
             si_interval: 4,
-            refork_penalty: 2_000,
             ar_adaptive: false,
-            adapt_window: 6,
         }
     }
 }
@@ -271,17 +264,6 @@ impl SlipstreamConfig {
     }
 }
 
-/// What a limited-pointer directory does when a line gains more sharers
-/// than it has pointers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OverflowPolicy {
-    /// Stop tracking precise sharers; a later write broadcasts
-    /// invalidations to every node except the writer (Dir_i B in the
-    /// classic taxonomy).
-    #[default]
-    Broadcast,
-}
-
 /// Directory sharer-tracking scheme.
 ///
 /// The default [`DirScheme::FullMap`] tracks every sharer precisely and is
@@ -295,21 +277,21 @@ pub enum DirScheme {
     /// Precise bit per node (the paper's protocol). Default.
     #[default]
     FullMap,
-    /// Track at most `ptrs` sharer pointers per line; on overflow apply
-    /// `overflow` (currently always broadcast-on-write).
+    /// Track at most `ptrs` sharer pointers per line. A line that gains
+    /// more sharers stops tracking them precisely, and a later write
+    /// broadcasts invalidations to every node except the writer (Dir_i B
+    /// in the classic taxonomy).
     LimitedPointer {
         /// Sharer pointers available per directory entry.
         ptrs: u8,
-        /// What happens when the pointers run out.
-        overflow: OverflowPolicy,
     },
 }
 
 impl DirScheme {
-    /// A limited-pointer scheme with `ptrs` pointers and broadcast
-    /// overflow — shorthand for the ablation figure and tests.
+    /// A limited-pointer scheme with `ptrs` pointers — shorthand for the
+    /// ablation figure and tests.
     pub fn limited(ptrs: u8) -> DirScheme {
-        DirScheme::LimitedPointer { ptrs, overflow: OverflowPolicy::Broadcast }
+        DirScheme::LimitedPointer { ptrs }
     }
 }
 
@@ -317,9 +299,7 @@ impl fmt::Display for DirScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DirScheme::FullMap => f.write_str("full-map"),
-            DirScheme::LimitedPointer { ptrs, overflow: OverflowPolicy::Broadcast } => {
-                write!(f, "limited-{ptrs}-bcast")
-            }
+            DirScheme::LimitedPointer { ptrs } => write!(f, "limited-{ptrs}-bcast"),
         }
     }
 }
@@ -358,10 +338,6 @@ pub struct MachineConfig {
     pub lat: Latencies,
     /// Page size used to interleave shared data across home nodes.
     pub page_bytes: u64,
-    /// Maximum ops a CPU may execute between globally visible events (bounds
-    /// the window in which a batched private L1 hit could miss a concurrent
-    /// back-invalidation; see DESIGN.md §7).
-    pub quantum_ops: u32,
     /// Directory-side migratory-sharing detection (an extension the paper
     /// names in §1/§5 via Kaxiras & Goodman / Cox & Fowler): after two
     /// consecutive ownership hand-offs, reads of the line are granted
@@ -382,7 +358,6 @@ impl Default for MachineConfig {
             l2: CacheGeometry { bytes: 1 << 20, ways: 4, line_bytes: 64 },
             lat: Latencies::default(),
             page_bytes: 4096,
-            quantum_ops: 64,
             migratory_opt: false,
             dir_scheme: DirScheme::FullMap,
         }

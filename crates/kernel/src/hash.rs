@@ -110,11 +110,6 @@ impl BuildHasher for FxBuildHasher {
 /// per-access maps (directory lines, MSHRs, sync objects).
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// Creates an [`FxHashMap`] with room for `cap` entries.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    HashMap::with_capacity_and_hasher(cap, FxBuildHasher)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +157,5 @@ mod tests {
             }
             assert_eq!(fx.len(), std_map.len());
         }
-    }
-
-    #[test]
-    fn capacity_constructor_reserves() {
-        let m: FxHashMap<u64, ()> = fx_map_with_capacity(100);
-        assert!(m.capacity() >= 100);
     }
 }

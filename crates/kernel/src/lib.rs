@@ -45,7 +45,7 @@ mod sharers;
 mod smallvec;
 mod time;
 
-pub use hash::{fx_map_with_capacity, FxBuildHasher, FxHasher, FxHashMap};
+pub use hash::{FxBuildHasher, FxHasher, FxHashMap};
 pub use ids::{Addr, CpuId, LineAddr, NodeId, TaskId};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;

@@ -1,5 +1,4 @@
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::Cycle;
@@ -129,11 +128,6 @@ impl<E> EventQueue<E> {
         q
     }
 
-    /// Reserves room for at least `additional` more far-tail events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedules `event` to fire at time `at`.
     pub fn push(&mut self, at: Cycle, event: E) {
         let seq = self.next_seq;
@@ -211,37 +205,6 @@ impl<E> EventQueue<E> {
             self.cursor = self.cursor.max(t.raw());
         }
         Some((t, e.event))
-    }
-
-    /// Removes and returns the earliest event only if it fires at or before
-    /// `limit` — the combined peek/pop the simulation loop uses to drain
-    /// everything due at the current time with one call per event.
-    pub fn pop_if_at(&mut self, limit: Cycle) -> Option<(Cycle, E)> {
-        let lane_key = self.lane_front_key();
-        // Heap arm: one `PeekMut` access both decides and pops (the old
-        // implementation peeked, then `pop()` peeked the heap a second
-        // time). `PeekMut` only re-sifts if the entry was mutated, so a
-        // fall-through costs nothing.
-        if let Some(pm) = self.heap.peek_mut() {
-            let hk = pm.key;
-            if lane_key.is_none_or(|lk| hk < lk) {
-                // The heap holds the earliest event overall.
-                let t = unpack_time(hk);
-                if t > limit {
-                    return None;
-                }
-                let e = PeekMut::pop(pm);
-                if self.lane_len == 0 {
-                    self.cursor = self.cursor.max(t.raw());
-                }
-                return Some((t, e.event));
-            }
-        }
-        // The lane holds the earliest event, or the queue is empty.
-        if lane_key.is_some() && Cycle(self.cursor) <= limit {
-            return Some(self.lane_pop_front());
-        }
-        None
     }
 
     /// The timestamp of the next event without removing it.
@@ -334,18 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_at_respects_the_limit() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 'a');
-        q.push(Cycle(20), 'b');
-        assert_eq!(q.pop_if_at(Cycle(5)), None);
-        assert_eq!(q.pop_if_at(Cycle(10)), Some((Cycle(10), 'a')));
-        assert_eq!(q.pop_if_at(Cycle(10)), None); // 'b' is later
-        assert_eq!(q.pop_if_at(Cycle(100)), Some((Cycle(20), 'b')));
-        assert_eq!(q.pop_if_at(Cycle(100)), None); // empty
-    }
-
-    #[test]
     fn lifetime_counters_track_pushes_and_peak_depth() {
         let mut q = EventQueue::new();
         assert_eq!(q.total_pushed(), 0);
@@ -363,7 +314,6 @@ mod tests {
     #[test]
     fn with_capacity_preserves_semantics() {
         let mut q = EventQueue::with_capacity(64);
-        q.reserve(100);
         q.push(Cycle(2), 'x');
         q.push(Cycle(1), 'y');
         assert_eq!(q.pop(), Some((Cycle(1), 'y')));
@@ -444,26 +394,6 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// `pop_if_at` with a limit between the two lanes' fronts takes only the
-    /// due lane-event, and vice versa when the heap is earlier.
-    #[test]
-    fn pop_if_at_across_lanes() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(50), 'n'); // lane
-        q.push(Cycle(9_000), 'f'); // heap
-        assert_eq!(q.pop_if_at(Cycle(49)), None);
-        assert_eq!(q.pop_if_at(Cycle(50)), Some((Cycle(50), 'n')));
-        assert_eq!(q.pop_if_at(Cycle(8_999)), None);
-        assert_eq!(q.pop_if_at(Cycle(9_000)), Some((Cycle(9_000), 'f')));
-        // Heap earlier than lane: push below cursor (heap) + in-window.
-        q.push(Cycle(9_100), 'x'); // lane (window re-centered at 9_000)
-        q.push(Cycle(100), 'y'); // below cursor → heap
-        assert_eq!(q.pop_if_at(Cycle(99)), None);
-        assert_eq!(q.pop_if_at(Cycle(100)), Some((Cycle(100), 'y')));
-        assert_eq!(q.pop_if_at(Cycle(u64::MAX)), Some((Cycle(9_100), 'x')));
-        assert!(q.is_empty());
-    }
-
     /// Property test (seeded, exhaustive over many random schedules):
     /// popping always yields non-decreasing timestamps, and within a
     /// timestamp, increasing push order — the (time, seq) FIFO contract the
@@ -532,10 +462,10 @@ mod tests {
         }
     }
 
-    /// Interleaving pushes and pops (including `pop_if_at`) preserves the
-    /// same contract relative to the events still pending.
+    /// Interleaving pushes and pops preserves the same contract relative
+    /// to the events still pending.
     #[test]
-    fn prop_interleaved_pop_if_at() {
+    fn prop_interleaved_push_pop() {
         let mut rng = SplitMix64::new(0xabcd);
         for _ in 0..100 {
             let mut q = EventQueue::new();
@@ -548,7 +478,7 @@ mod tests {
                     let base = last.map(|(t, _)| t.raw()).unwrap_or(0);
                     q.push(Cycle(base + rng.next_below(20)), seq);
                     seq += 1;
-                } else if let Some((t, i)) = q.pop_if_at(Cycle(u64::MAX)) {
+                } else if let Some((t, i)) = q.pop() {
                     if let Some((lt, li)) = last {
                         assert!(t > lt || (t == lt && i > li));
                     }

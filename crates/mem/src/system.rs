@@ -167,7 +167,7 @@ pub struct MemSystem {
 fn track_sharer(scheme: DirScheme, s: &mut SharerSet, ovfl: &mut bool, from: NodeId) {
     match scheme {
         DirScheme::FullMap => s.insert(from),
-        DirScheme::LimitedPointer { ptrs, .. } => {
+        DirScheme::LimitedPointer { ptrs } => {
             if *ovfl {
                 return;
             }

@@ -163,7 +163,7 @@ impl ProgBuilder {
     /// one load per cache line touched, plus `compute_per_line` cycles after
     /// each. This is the standard trace reduction used by the workloads:
     /// per-element loads that would hit in L1 anyway are folded into the
-    /// compute cost (see DESIGN.md §7).
+    /// compute cost (see DESIGN.md §8).
     pub fn touch_lines(
         &mut self,
         base: Addr,

@@ -1,89 +1,15 @@
-//! Read-only footprint accessors over a [`Program`]'s op stream.
+//! A read-only walk over a [`Program`]'s op stream.
 //!
-//! The static sharing analyzer (`slipstream-check`) and the `predict`
-//! binary both need per-program summaries — how many accesses, how much
-//! compute, where the barrier-phase boundaries fall — without mutating or
-//! re-deriving the statement tree. These helpers walk [`Program::iter`]
-//! once and are purely observational: they never touch the layout or the
+//! The static sharing analyzer (`slipstream-check`) needs to know where
+//! the barrier-phase boundaries fall without mutating or re-deriving the
+//! statement tree. [`Program::walk_phases`] walks [`Program::iter`] once
+//! and is purely observational: it never touches the layout or the
 //! simulator.
 
-use crate::ops::{Op, Space};
+use crate::ops::Op;
 use crate::stmt::Program;
 
-/// Per-program operation counts, split the way the analyzer bills them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCounts {
-    /// `Load` ops with `Space::Shared`.
-    pub shared_loads: u64,
-    /// `Store` ops with `Space::Shared`.
-    pub shared_stores: u64,
-    /// `Load` ops with `Space::Private`.
-    pub private_loads: u64,
-    /// `Store` ops with `Space::Private`.
-    pub private_stores: u64,
-    /// Total cycles across `Compute` ops.
-    pub compute_cycles: u64,
-    /// `Barrier` ops (equals the number of phase boundaries the task sees).
-    pub barriers: u64,
-    /// `Lock` ops.
-    pub locks: u64,
-    /// `Unlock` ops.
-    pub unlocks: u64,
-    /// `EventPost` ops.
-    pub event_posts: u64,
-    /// `EventWait` ops.
-    pub event_waits: u64,
-    /// `Input` ops.
-    pub inputs: u64,
-    /// `DivergeInA` ops (A-stream-only detours; no-ops elsewhere).
-    pub diverges: u64,
-}
-
-impl OpCounts {
-    /// All memory accesses, shared and private.
-    pub fn accesses(&self) -> u64 {
-        self.shared_loads + self.shared_stores + self.private_loads + self.private_stores
-    }
-
-    /// Shared-space accesses only (the ones subject to coherence).
-    pub fn shared_accesses(&self) -> u64 {
-        self.shared_loads + self.shared_stores
-    }
-
-    /// All loads.
-    pub fn loads(&self) -> u64 {
-        self.shared_loads + self.private_loads
-    }
-
-    /// All stores.
-    pub fn stores(&self) -> u64 {
-        self.shared_stores + self.private_stores
-    }
-}
-
 impl Program {
-    /// Tallies the program's dynamic op stream (one full walk).
-    pub fn op_counts(&self) -> OpCounts {
-        let mut c = OpCounts::default();
-        for op in self.iter() {
-            match op {
-                Op::Load { space: Space::Shared, .. } => c.shared_loads += 1,
-                Op::Load { space: Space::Private, .. } => c.private_loads += 1,
-                Op::Store { space: Space::Shared, .. } => c.shared_stores += 1,
-                Op::Store { space: Space::Private, .. } => c.private_stores += 1,
-                Op::Compute(n) => c.compute_cycles += u64::from(n),
-                Op::Barrier(_) => c.barriers += 1,
-                Op::Lock(_) => c.locks += 1,
-                Op::Unlock(_) => c.unlocks += 1,
-                Op::EventPost(_) => c.event_posts += 1,
-                Op::EventWait(_) => c.event_waits += 1,
-                Op::Input => c.inputs += 1,
-                Op::DivergeInA(_) => c.diverges += 1,
-            }
-        }
-        c
-    }
-
     /// Walks the op stream with a barrier-phase counter.
     ///
     /// The callback receives `(phase, op_index, op)`: `phase` starts at 0
@@ -124,19 +50,6 @@ mod tests {
         b.gen(move |_| Op::store_shared(arr.at(0)));
         b.barrier(BarrierId(0));
         (layout, b.build("sample"))
-    }
-
-    #[test]
-    fn op_counts_tally_the_stream() {
-        let (_l, p) = sample();
-        let c = p.op_counts();
-        assert_eq!(c.shared_loads, 3);
-        assert_eq!(c.shared_stores, 1);
-        assert_eq!(c.compute_cycles, 30);
-        assert_eq!(c.barriers, 2);
-        assert_eq!(c.accesses(), 4);
-        assert_eq!(c.shared_accesses(), 4);
-        assert_eq!(c.accesses(), p.iter().filter(|o| o.is_access()).count() as u64);
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod ops;
 mod stmt;
 
 pub use builder::ProgBuilder;
-pub use footprint::OpCounts;
 pub use iter::ProgramIter;
 pub use layout::{ArrayRef, InstanceId, Layout, RegionInfo, RegionKind};
 pub use ops::{BarrierId, EventId, LockId, Op, Space};

@@ -35,7 +35,7 @@ pub fn block_range(n: u64, ntasks: usize, t: usize) -> (u64, u64) {
 /// `[start, start+bytes)` of `region`, each followed by
 /// `compute_per_line` cycles. This is the standard trace reduction used by
 /// every kernel: per-element accesses that would hit in the L1 anyway are
-/// folded into the compute cost (DESIGN.md §7).
+/// folded into the compute cost (DESIGN.md §8).
 pub fn touch(
     out: &mut Vec<Op>,
     region: ArrayRef,
