@@ -44,9 +44,11 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use slipstream_bench::{flag_num, flag_value, io_or_exit, known_flags, parse_seed, positive};
+use slipstream_bench::{
+    exit_usage, flag_num, flag_value, io_or_exit, known_flags, parse_seed, positive,
+};
 use slipstream_check::{
-    cross_validate_with, run_checked, AnalysisConfig, Severity, ValidationReport,
+    cross_validate_with, json_escape, run_checked, AnalysisConfig, Severity, ValidationReport,
 };
 use slipstream_core::{run, MachineConfig, RunSpec, Workload};
 use slipstream_gen::corpus::{corpus_entry, mutant_entry, CORPUS_COUNT, CORPUS_SEED};
@@ -160,10 +162,7 @@ fn validation_stage(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2)
-    });
+    let args = parse_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let cfg = MachineConfig::with_nodes(args.nodes);
     let acfg = AnalysisConfig { line_bytes: cfg.l2.line_bytes, ..AnalysisConfig::default() };
     // The four named modes of the benchmark matrix.
@@ -294,7 +293,7 @@ fn render_json(
             "{}\n    {{\"i\":{i},\"name\":\"{}\",\"seed\":{},\"spec\":{},\"ok\":{},\
              \"cycles\":{{{cycles}}},\"validation\":{validation}}}",
             if i == 0 { "" } else { "," },
-            p.name,
+            json_escape(&p.name),
             p.seed,
             p.spec_json,
             p.ok
@@ -304,9 +303,10 @@ fn render_json(
     for (i, (name, key, rule, caught)) in mutants.iter().enumerate() {
         let _ = write!(
             s,
-            "{}\n    {{\"name\":\"{name}\",\"mutation\":\"{key}\",\"expected\":\"{rule}\",\
+            "{}\n    {{\"name\":\"{}\",\"mutation\":\"{key}\",\"expected\":\"{rule}\",\
              \"caught\":{caught}}}",
-            if i == 0 { "" } else { "," }
+            if i == 0 { "" } else { "," },
+            json_escape(name)
         );
     }
     let _ = write!(s, "\n  ],\n  \"failures\": [");
@@ -315,7 +315,7 @@ fn render_json(
             s,
             "{}\n    \"{}\"",
             if i == 0 { "" } else { "," },
-            f.replace('\\', "\\\\").replace('"', "\\\"")
+            json_escape(f)
         );
     }
     let clean = programs.iter().filter(|p| p.ok).count();

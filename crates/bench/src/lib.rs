@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use slipstream_core::{ArSyncMode, ExecMode, RunSpec, SlipstreamConfig, Workload};
+use slipstream_core::Workload;
 use slipstream_workloads::{by_name, paper_suite, quick_suite};
 
 mod figures;
@@ -45,8 +45,8 @@ pub use par::{Plan, Rejected, RunKey};
 static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// Silences [`host_note!`], the progress narration on stderr (the
-/// executor's per-run lines, `bench_sim`'s per-case lines). Errors and
-/// reports still print, so machine-readable pipelines stay clean.
+/// executor's per-run lines). Errors and reports still print, so
+/// machine-readable pipelines stay clean.
 pub fn set_quiet(quiet: bool) {
     QUIET.store(quiet, Ordering::Relaxed);
 }
@@ -125,12 +125,8 @@ impl Cli {
         } else {
             names.into_iter().map(find).collect::<Result<_, _>>()?
         };
-        let only = match flag_value(args, "--bench")? {
-            Some(name) if by_name(name, true).is_none() => {
-                return Err(format!("unknown benchmark {name}"))
-            }
-            name => name.cloned(),
-        };
+        let only = flag_value(args, "--bench")?.cloned();
+        suite(true, only.as_deref())?;
         let nodes = flag_value(args, "--nodes")?
             .map(|list| list.split(',').map(|n| positive("--nodes", n)).collect())
             .transpose()?;
@@ -151,14 +147,7 @@ impl Cli {
 
     /// The benchmark suite selected by the flags.
     pub fn suite(&self) -> Vec<Box<dyn Workload>> {
-        let all = if self.quick { quick_suite() } else { paper_suite() };
-        match &self.only {
-            None => all,
-            Some(name) => all
-                .into_iter()
-                .filter(|w| w.name().eq_ignore_ascii_case(name))
-                .collect(),
-        }
+        suite(self.quick, self.only.as_deref()).expect("--bench is checked when parsed")
     }
 
     /// The CMP-count sweep (paper: 2, 4, 8, 16).
@@ -175,54 +164,18 @@ impl Cli {
     }
 }
 
-/// The single run named on the command line of `trace` and `inspect`:
-/// `<BENCH> <NODES> <single|double|slip> [--quick] [--ar L1|L0|G1|G0]
-/// [--si]`.
-pub struct RunArgs {
-    /// The workload, at reduced size under `--quick`.
-    pub workload: Box<dyn Workload>,
-    /// The run: nodes, mode and slipstream configuration (prefetch-only
-    /// unless `--si`; A-R method `--ar`, default `G1`).
-    pub spec: RunSpec,
-}
-
-impl RunArgs {
-    /// Parses the three positional arguments and the `--quick`, `--ar`
-    /// and `--si` flags of `args` (program name excluded); other flags are
-    /// the caller's.
-    ///
-    /// # Errors
-    ///
-    /// A missing positional, an unknown benchmark, a NODES that is not a
-    /// positive integer, or an unknown mode or A-R label: never a silent
-    /// default.
-    pub fn parse(args: &[String]) -> Result<RunArgs, String> {
-        let positional = |i: usize, what: &str| {
-            args.get(i).filter(|a| !a.starts_with("--")).ok_or(format!("missing {what}"))
-        };
-        let bench = positional(0, "<BENCH>")?;
-        let nodes = positive("<NODES>", positional(1, "<NODES>")?)?;
-        let mode = match positional(2, "<single|double|slip>")?.as_str() {
-            "single" => ExecMode::Single,
-            "double" => ExecMode::Double,
-            "slip" => ExecMode::Slipstream,
-            other => return Err(format!("unknown mode {other}: expected single, double or slip")),
-        };
-        let ar = match flag_value(args, "--ar")? {
-            None => ArSyncMode::OneTokenGlobal,
-            Some(label) => ArSyncMode::ALL
-                .into_iter()
-                .find(|m| m.label() == label)
-                .ok_or(format!("unknown A-R method {label}: expected L1, L0, G1 or G0"))?,
-        };
-        let slip = if args.iter().any(|a| a == "--si") {
-            SlipstreamConfig::with_self_invalidation(ar)
-        } else {
-            SlipstreamConfig::prefetch_only(ar)
-        };
-        let workload = by_name(bench, args.iter().any(|a| a == "--quick"))
-            .ok_or(format!("unknown benchmark {bench}"))?;
-        Ok(RunArgs { workload, spec: RunSpec::new(nodes, mode).with_slip(slip) })
+/// The benchmark suite, at reduced sizes under `quick`, or only the
+/// member named `only` (case-insensitive).
+///
+/// # Errors
+///
+/// `only` names no member of the suite.
+pub fn suite(quick: bool, only: Option<&str>) -> Result<Vec<Box<dyn Workload>>, String> {
+    match only {
+        None => Ok(if quick { quick_suite() } else { paper_suite() }),
+        Some(name) => {
+            by_name(name, quick).map(|w| vec![w]).ok_or(format!("unknown benchmark {name}"))
+        }
     }
 }
 
@@ -259,7 +212,7 @@ pub fn flag_num(args: &[String], flag: &str, default: u64) -> Result<u64, String
 /// # Errors
 ///
 /// The first flag that is neither.
-fn positionals<'a>(
+pub fn positionals<'a>(
     args: &'a [String],
     switches: &[&str],
     valued: &[&str],
@@ -317,7 +270,7 @@ pub fn parse_seed(value: &str) -> Result<u64, String> {
 }
 
 /// Prints `err`, then `usage` and the benchmark names, on stderr and exits
-/// with status 2, a usage error (as in the `check` binary).
+/// with status 2, a usage error, as every binary of this crate does.
 pub fn exit_usage(usage: &str, err: &str) -> ! {
     let names: Vec<String> = quick_suite().iter().map(|w| w.name().to_string()).collect();
     eprintln!("{err}\nusage: {usage}\nbenchmarks: {}", names.join(", "));
@@ -379,39 +332,12 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
-    fn parse_err(line: &str) -> String {
-        match RunArgs::parse(&args(line)) {
-            Ok(_) => panic!("`{line}` parsed"),
-            Err(e) => e,
-        }
-    }
-
     #[test]
-    fn run_args_parse_the_named_run() {
-        let r = RunArgs::parse(&args("SOR 4 slip --quick --ar G0 --si --out dir")).unwrap();
-        assert_eq!(r.workload.name(), "SOR");
-        assert_eq!((r.spec.nodes, r.spec.mode), (4, ExecMode::Slipstream));
-        let si_g0 = SlipstreamConfig::with_self_invalidation(ArSyncMode::ZeroTokenGlobal);
-        assert_eq!(r.spec.slip, si_g0);
-        let r = RunArgs::parse(&args("cg 2 double")).unwrap();
-        assert_eq!((r.spec.nodes, r.spec.mode), (2, ExecMode::Double));
-        assert_eq!(r.spec.slip, SlipstreamConfig::prefetch_only(ArSyncMode::OneTokenGlobal));
-        for m in ArSyncMode::ALL {
-            let r = RunArgs::parse(&args(&format!("SOR 2 slip --ar {}", m.label()))).unwrap();
-            assert_eq!(r.spec.slip.ar_sync, m);
-        }
-    }
-
-    #[test]
-    fn run_args_reject_what_they_do_not_understand() {
-        assert!(parse_err("SOR 4 slipstream --quick").contains("unknown mode slipstream"));
-        assert!(parse_err("SOR four slip").contains("positive integer"));
-        assert!(parse_err("SOR 0 slip").contains("positive integer"));
-        assert!(parse_err("SOR 4 slip --ar XX").contains("unknown A-R method XX"));
-        assert!(parse_err("SOR 4 slip --ar").contains("--ar requires a value"));
-        assert!(parse_err("SOR 4 --quick").contains("missing <single|double|slip>"));
-        assert!(parse_err("").contains("missing <BENCH>"));
-        assert!(parse_err("NOPE 4 slip").contains("unknown benchmark NOPE"));
+    fn suite_selects_one_member_or_fails() {
+        let one = suite(true, Some("cg")).unwrap();
+        assert_eq!(one.iter().map(|w| w.name()).collect::<Vec<_>>(), ["CG"]);
+        assert_eq!(suite(true, None).unwrap().len(), 9);
+        assert!(suite(true, Some("nope")).is_err_and(|e| e.contains("unknown benchmark nope")));
     }
 
     fn cli_err(line: &str) -> String {

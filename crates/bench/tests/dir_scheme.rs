@@ -4,8 +4,8 @@
 //! bit-vectors; these tests pin its three guarantees:
 //!
 //! 1. the default full-map scheme is bit-identical to the pre-refactor
-//!    simulator (exec_cycles pinned from the committed benchmark matrix,
-//!    quick suite x 4 modes);
+//!    simulator (36 exec_cycles of the quick suite x 4 modes at 4 CMPs,
+//!    also recorded in `benchmark/golden/quick-observed.txt`);
 //! 2. a limited-pointer directory whose budget is never exceeded is
 //!    bit-identical to full-map (the scheme only diverges on overflow);
 //! 3. an overflowing limited-pointer directory diverges (broadcast
@@ -19,8 +19,7 @@ use slipstream_core::{
 };
 use slipstream_workloads::{by_name, quick_suite, Sor};
 
-/// The named execution mode `mode` of the benchmark matrix (`bench_sim`'s
-/// `cases`), at `nodes` CMPs.
+/// The named execution mode `mode` of the quick matrix, at `nodes` CMPs.
 fn mode_spec(mode: &str, nodes: u16) -> RunSpec {
     RunSpec::named(mode, nodes).unwrap_or_else(|| panic!("unknown mode {mode}"))
 }
@@ -31,9 +30,11 @@ fn with_scheme(w: &dyn Workload, spec: &RunSpec, scheme: DirScheme) -> RunSpec {
     spec.clone().with_machine(machine)
 }
 
-/// Simulated cycle counts of the quick benchmark matrix *before* the
-/// `SharerSet` refactor, as committed in BENCH_sim.json. The default
-/// directory scheme must keep reproducing them exactly.
+/// Simulated cycle counts of the quick matrix (quick suite x 4 modes at 4
+/// CMPs) *before* the `SharerSet` refactor. The default directory scheme
+/// must keep reproducing them exactly. The repository benchmark's
+/// `benchmark/golden/quick-observed.txt` is the other record of the same
+/// 36 counts, next to a digest of each full result.
 const PRE_REFACTOR_EXEC_CYCLES: &[(&str, &str, u64)] = &[
     ("CG", "single", 308223),
     ("FFT", "single", 796684),

@@ -46,8 +46,8 @@ fn quick_figures_match_golden() {
 }
 
 /// An unknown figure and a missing `--out` are usage errors, caught
-/// before anything is simulated; so is an output path that cannot be
-/// written, on every binary that writes one.
+/// before anything is simulated; so is an argument a binary does not
+/// understand, a bad count, and an output path that cannot be written.
 #[test]
 fn usage_errors_exit_2() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_usage");
@@ -56,18 +56,23 @@ fn usage_errors_exit_2() {
         let status = figures(args).stderr(Stdio::null()).status().expect("figures runs");
         assert_eq!(status.code(), Some(2), "figures {args:?}");
     }
-    let unwritable = [
-        (env!("CARGO_BIN_EXE_trace"), &["SOR", "2", "slip", "--quick", "--out", "/dev/null/x"][..]),
-        (
-            env!("CARGO_BIN_EXE_inspect"),
-            &["SOR", "2", "slip", "--quick", "--trace", "/nonexistent/dir/t.json"],
-        ),
+    let metrics = format!("{out}/x.jsonl");
+    let inspect = env!("CARGO_BIN_EXE_inspect");
+    let check = env!("CARGO_BIN_EXE_check");
+    let rejected = [
+        (inspect, &["SOR", "2", "slip", "--quick", "--out", "/dev/null/x"][..]),
+        (inspect, &["SOR", "2", "slip", "--quick", "--metrcs", &metrics]),
+        (inspect, &["SOR", "2", "slip", "extra", "--quick"]),
+        (check, &["--bogus"]),
+        (check, &["--analyze", "--tasks", "0"]),
+        (check, &["--validate", "--nodes", "4"]),
+        (check, &["--mode", "bogus"]),
         (
             env!("CARGO_BIN_EXE_fuzz"),
             &["--count", "0", "--mutants", "0", "--json", "/nonexistent/dir/r.json"],
         ),
     ];
-    for (bin, args) in unwritable {
+    for (bin, args) in rejected {
         let run = Command::new(bin).args(args).stdout(Stdio::null()).stderr(Stdio::null()).status();
         assert_eq!(run.expect("binary runs").code(), Some(2), "{bin} {args:?}");
     }

@@ -4,9 +4,11 @@
 //! inside the analyzer's static bounds, and each region's observed
 //! sharing class must equal the predicted class's observable projection.
 //!
-//! The `fuzz` binary runs the same harness over the *full* corpus (216
-//! programs); this test pins the quick suite plus a representative corpus
-//! slice in CI's tier-1 suite.
+//! The `fuzz` binary runs the same harness over every clean program of
+//! the *full* corpus (216 programs), and `check --validate` over the
+//! suite; this test pins the quick suite plus a 12-program corpus slice.
+
+use std::process::{Command, Stdio};
 
 use slipstream_check::cross_validate;
 use slipstream_core::Workload;
@@ -42,6 +44,16 @@ fn corpus_slice_measurements_lie_within_static_bounds() {
         let w = corpus_entry(CORPUS_SEED, i);
         assert_validates(&w, 2);
     }
+}
+
+#[test]
+fn check_validate_passes_on_quick_sor() {
+    let status = Command::new(env!("CARGO_BIN_EXE_check"))
+        .args(["--validate", "--quick", "--bench", "SOR"])
+        .stdout(Stdio::null())
+        .status()
+        .expect("check runs");
+    assert!(status.success(), "check --validate exited with {status}");
 }
 
 #[test]

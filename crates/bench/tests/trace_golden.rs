@@ -8,6 +8,9 @@
 //! `BLESS=1 cargo test -p slipstream-bench --test trace_golden` — but a
 //! refactor of the observation plumbing must leave this file untouched.
 
+use std::path::Path;
+use std::process::{Command, Stdio};
+
 use slipstream_check::run_checked;
 use slipstream_core::{
     run, run_traced, ArSyncMode, DirScheme, ExecMode, MachineConfig, RunSpec, SlipstreamConfig,
@@ -23,7 +26,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs one cell traced (the `trace` binary's smoke configuration) and
+/// Runs one cell traced (the configuration of `inspect --out`) and
 /// checked, and renders its pinned lines. `must_contain` names event
 /// JSONL fragments the cell exists to cover.
 fn cell(label: &str, w: &dyn Workload, spec: RunSpec, must_contain: &[&str]) -> String {
@@ -53,7 +56,7 @@ fn cell(label: &str, w: &dyn Workload, spec: RunSpec, must_contain: &[&str]) -> 
         ("events_jsonl", events),
         ("chrome_trace_json", data.chrome_trace_json()),
         ("metrics_jsonl", data.metrics_jsonl()),
-        ("hotline_report", data.hotline_report(0)),
+        ("hotline_report", data.hotline_report(32)),
     ] {
         out += &format!("  {name}: {} bytes, fnv64 {:016x}\n", text.len(), fnv64(text.as_bytes()));
     }
@@ -109,4 +112,22 @@ fn trace_exports_match_golden() {
         actual, golden,
         "trace exports drifted from the golden; if intended, re-bless with BLESS=1"
     );
+}
+
+/// `inspect --out DIR` writes the four exports, and its traced run passes
+/// the determinism check against the untraced one.
+#[test]
+fn inspect_out_writes_the_four_exports() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("inspect_out");
+    let status = Command::new(env!("CARGO_BIN_EXE_inspect"))
+        .args(["SOR", "2", "slip", "--quick", "--out"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .status()
+        .expect("inspect runs");
+    assert!(status.success(), "inspect exited with {status}");
+    for file in ["trace.json", "events.jsonl", "metrics.jsonl", "hotlines.txt"] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "inspect --out wrote no {file}");
+    }
 }

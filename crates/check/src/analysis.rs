@@ -252,13 +252,6 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl Analysis {
-    /// The predicted class for the region containing `addr`, if any.
-    pub fn class_of(&self, addr: u64) -> Option<&RegionClass> {
-        self.regions.iter().find(|r| addr >= r.base && addr < r.base + r.bytes)
-    }
-}
-
 /// Per-line footprint accumulated during the walk.
 #[derive(Default)]
 struct LineFoot {

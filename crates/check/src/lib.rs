@@ -28,8 +28,9 @@
 //!    Its predictions are differentially validated against instrumented
 //!    runs over the quick suite and the fuzz corpus.
 //!
-//! The `check` binary fronts the first two and the `predict` binary the
-//! third; `docs/static-analysis.md` documents the rule catalogue.
+//! The `check` binary of `slipstream-bench` fronts all three (the lint,
+//! `--dynamic`, and `--analyze`/`--validate`); `docs/static-analysis.md`
+//! documents the rule catalogue.
 
 pub mod analysis;
 pub mod contract;

@@ -63,7 +63,7 @@ impl fmt::Display for TimeBreakdown {
 
 /// Final accounting for one stream (one processor's task copy).
 ///
-/// `PartialEq` exists so tests (and the `trace` binary) can assert that a
+/// `PartialEq` exists so tests (and `inspect --out`) can assert that a
 /// traced run is bit-identical to an untraced one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamReport {
@@ -100,8 +100,9 @@ pub struct RunResult {
     /// Number of A-stream kill/refork recoveries (§3.2).
     pub recoveries: u64,
     /// Host-side event count: discrete events the simulator processed to
-    /// produce this result. Purely an observability number (events/sec in
-    /// BENCH_sim.json); it has no effect on simulated time.
+    /// produce this result. Purely an observability number (the
+    /// repository benchmark's `core.events` and `core.ns_per_event`); it
+    /// has no effect on simulated time.
     pub host_events: u64,
 }
 

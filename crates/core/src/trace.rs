@@ -22,7 +22,7 @@
 //! simulation path is identical to a build without this module. Tracing is
 //! purely observational — a traced run produces a bit-identical
 //! [`RunResult`] to an untraced one (asserted by the `accounting`
-//! integration test and the `trace` binary).
+//! integration test and by `inspect --out`).
 //!
 //! All exports are hand-rolled JSON: the workspace deliberately has no
 //! serialization dependency, and the schemas are small and flat.
@@ -56,13 +56,11 @@ pub struct TraceConfig {
     /// pathological run cannot exhaust memory — and the truncation is
     /// explicit, never silent.
     pub max_events: usize,
-    /// Default number of lines shown by [`TraceData::hotline_report`].
-    pub top_k: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig { events: false, interval: 0, hotlines: false, max_events: 1_000_000, top_k: 32 }
+        TraceConfig { events: false, interval: 0, hotlines: false, max_events: 1_000_000 }
     }
 }
 
@@ -497,10 +495,8 @@ impl TraceData {
         out
     }
 
-    /// Human-readable top-`k` hot-line report (`k = 0` uses the config's
-    /// `top_k`).
+    /// Human-readable top-`k` hot-line report.
     pub fn hotline_report(&self, k: usize) -> String {
-        let k = if k == 0 { self.config.top_k } else { k };
         let shown = k.min(self.hot.len());
         let mut out = String::new();
         let _ = writeln!(

@@ -107,12 +107,6 @@ impl Addr {
         debug_assert!(line_bytes.is_power_of_two());
         LineAddr(self.0 / line_bytes)
     }
-
-    /// Byte offset within its cache line.
-    #[inline]
-    pub fn line_offset(self, line_bytes: u64) -> u64 {
-        self.0 & (line_bytes - 1)
-    }
 }
 
 impl fmt::Display for Addr {
@@ -163,7 +157,6 @@ mod tests {
         assert_eq!(line, LineAddr(0x1234 / 64));
         assert!(line.base(64).0 <= a.0);
         assert!(a.0 < line.base(64).0 + 64);
-        assert_eq!(a.line_offset(64), 0x1234 % 64);
     }
 
     #[test]

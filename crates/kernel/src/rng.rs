@@ -45,11 +45,6 @@ impl SplitMix64 {
         // for workload generation.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// Uniform f64 in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +89,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn next_below_zero_panics() {
         SplitMix64::new(0).next_below(0);
-    }
-
-    #[test]
-    fn next_f64_in_unit_interval() {
-        let mut r = SplitMix64::new(11);
-        for _ in 0..1000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 }

@@ -180,10 +180,6 @@ fn track_sharer(scheme: DirScheme, s: &mut SharerSet, ovfl: &mut bool, from: Nod
     }
 }
 
-fn is_a_group(role: StreamRole) -> bool {
-    role.is_a()
-}
-
 impl MemSystem {
     /// Creates the memory system for `cfg.nodes` CMP nodes with the given
     /// address-to-home map; `participants` is the number of tasks arriving
@@ -1161,7 +1157,6 @@ impl MemSystem {
                 retry = true;
             }
             MsgKind::InvAck { .. } => {
-                let mem_lat = self.lat.mem;
                 let p = dl.busy.as_mut().expect("InvAck without pending transaction");
                 debug_assert!(p.wait == WaitKind::Acks && p.acks_left > 0);
                 p.acks_left -= 1;
@@ -1169,7 +1164,6 @@ impl MemSystem {
                     p.wait = WaitKind::Mem;
                     let needs_data = p.needs_data;
                     let reply = data_reply(home, p.requester, line, true, p.si_hint);
-                    let _ = mem_lat;
                     let at = if needs_data { self.mem_access(home, now) } else { now };
                     sched.sched(at, MemEvent::MemReady(reply));
                 }
@@ -1822,14 +1816,14 @@ fn classify_touch(entry: &mut L2Line, role: StreamRole) {
     if !entry.shared_data {
         return;
     }
-    let is_a = is_a_group(role);
+    let is_a = role.is_a();
     if let Some(op) = entry.open_read.as_mut() {
-        if is_a_group(op.issuer) != is_a {
+        if op.issuer.is_a() != is_a {
             op.reffed_other = true;
         }
     }
     if let Some(op) = entry.open_excl.as_mut() {
-        if is_a_group(op.issuer) != is_a {
+        if op.issuer.is_a() != is_a {
             op.reffed_other = true;
         }
     }
@@ -1842,12 +1836,12 @@ fn classify_store_fill(entry: &mut L2Line) {
         return;
     }
     if let Some(op) = entry.open_excl.as_mut() {
-        if is_a_group(op.issuer) {
+        if op.issuer.is_a() {
             op.reffed_other = true;
         }
     }
     if let Some(op) = entry.open_read.as_mut() {
-        if is_a_group(op.issuer) {
+        if op.issuer.is_a() {
             op.reffed_other = true;
         }
     }
@@ -1856,15 +1850,15 @@ fn classify_store_fill(entry: &mut L2Line) {
 /// Detects `Late` classifications when a miss merges into an outstanding
 /// request issued by the other stream.
 fn merge_classify(stats: &mut MemStats, mshr: &mut Mshr, role: StreamRole) {
-    let is_a = is_a_group(role);
+    let is_a = role.is_a();
     if let Some(op) = mshr.open_read.as_mut() {
-        if is_a_group(op.issuer) != is_a && !op.late {
+        if op.issuer.is_a() != is_a && !op.late {
             op.late = true;
             stats.class.count_late(true, op.issuer);
         }
     }
     if let Some(op) = mshr.open_excl.as_mut() {
-        if is_a_group(op.issuer) != is_a && !op.late {
+        if op.issuer.is_a() != is_a && !op.late {
             op.late = true;
             stats.class.count_late(false, op.issuer);
         }
